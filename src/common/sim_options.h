@@ -62,8 +62,9 @@ struct FaultOptions {
 enum class KirExec : std::uint8_t { kBytecode = 0, kInterp };
 
 struct SimOptions {
-  /// Host worker threads for parallel simulation. 1 = the serial engine
-  /// (inline cache accesses, no buffering); >1 = record/replay engine.
+  /// Host worker threads for parallel simulation. 1 = recorded access
+  /// chunks replay into the caches as they fill; >1 = work-groups execute
+  /// on a pool and their chunks replay in canonical order.
   /// 0 = one worker per available hardware thread.
   int threads = 1;
 

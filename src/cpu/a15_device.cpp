@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "common/aligned_buffer.h"
-#include "kir/vm/bytecode.h"
 #include "obs/recorder.h"
 
 namespace malisim::cpu {
@@ -15,26 +13,6 @@ namespace {
 /// addresses disjoint from buffer addresses in the unified address space.
 constexpr std::uint64_t kScratchSimBase = 0x7f00'0000'0000ULL;
 constexpr std::uint64_t kScratchStride = 16ULL << 20;  // 16 MiB per core
-
-/// Memory sink binding one core's accesses to the shared hierarchy.
-class CoreSink final : public kir::MemorySink {
- public:
-  CoreSink(sim::MemoryHierarchy* hierarchy, std::uint32_t core)
-      : hierarchy_(hierarchy), core_(core) {}
-
-  void OnAccess(std::uint64_t addr, std::uint32_t bytes, bool is_write) override {
-    const sim::AccessOutcome out = hierarchy_->Access(core_, addr, bytes, is_write);
-    l1_misses += out.l1_misses;
-    l2_misses += out.l2_misses;
-  }
-
-  std::uint64_t l1_misses = 0;
-  std::uint64_t l2_misses = 0;
-
- private:
-  sim::MemoryHierarchy* hierarchy_;
-  std::uint32_t core_;
-};
 
 double ClassCycles(const A15TimingParams& t, const kir::OpHistogram& ops) {
   // Compensated sum for the same reason as the Mali model's CountSlots.
@@ -134,100 +112,45 @@ StatusOr<CpuRunResult> CortexA15Device::Run(const kir::Program& program,
   hierarchy_.ResetStats();
   dram_.ResetStats();
 
-  // Size per-core __local scratch if the kernel declares local arrays.
-  std::uint64_t local_bytes = 0;
-  for (const kir::LocalArrayDecl& local : program.locals) {
-    local_bytes += static_cast<std::uint64_t>(local.elems) *
-                   kir::ScalarBytes(local.elem);
-  }
-  if (local_bytes > scratch_bytes_ || scratch_.empty()) {
-    scratch_.clear();
-    for (int c = 0; c < kMaxCores; ++c) {
-      scratch_.push_back(std::make_unique<std::byte[]>(local_bytes + 64));
-    }
-    scratch_bytes_ = local_bytes;
-  }
-
   const std::uint64_t active_groups = config.active_groups();
-  const auto group_dims = config.num_groups();
 
   CpuRunResult result;
   double max_core_sec = 0.0;
   double busy_cycles_total[kMaxCores] = {};
   double core_sec[kMaxCores] = {};
-  std::vector<CoreAggregate> agg(static_cast<std::size_t>(num_threads));
 
-  // Phase 1 — functional execution + cache simulation per modelled core.
-  // As on the Mali device, host-time attribution samples the interpreter
-  // only on the serial engine path; the execute span covers both paths.
   obs::HostProf* host_prof =
       recorder_ != nullptr ? recorder_->host_prof() : nullptr;
-  obs::InterpProfile interp_prof(host_prof, program, num_threads);
-  const int host_threads = options_.ResolvedThreads();
-  const KirExec engine = options_.kir_exec;
-  // The CPU path has no build step, so the VM compile happens per Run; it
-  // is a few microseconds against milliseconds of execution.
-  std::shared_ptr<const kir::vm::CompiledProgram> bytecode;
-  if (engine == KirExec::kBytecode) {
-    obs::HostProf::PhaseSpan vm_span(host_prof, obs::HostPhase::kVmCompile);
-    StatusOr<std::shared_ptr<const kir::vm::CompiledProgram>> compiled =
-        kir::vm::CompileProgram(program);
-    if (!compiled.ok()) return compiled.status();
-    bytecode = *std::move(compiled);
+  const bool recording = recorder_ != nullptr && recorder_->counters_enabled();
+
+  // Phase 1 — functional execution + cache simulation per modelled core.
+  // Each core takes a contiguous block of the active group sub-range in
+  // row-major order (OpenMP static schedule). The CPU path has no build
+  // step, so the runner compiles the VM bytecode per Run: a few
+  // microseconds against milliseconds of execution.
+  sim::GroupLaunch launch;
+  launch.program = &program;
+  launch.engine = options_.kir_exec;
+  launch.config = &config;
+  launch.bindings = &bindings;
+  launch.hierarchy = &hierarchy_;
+  for (int t = 0; t < num_threads; ++t) {
+    const std::uint64_t begin =
+        config.group_begin + active_groups * t / num_threads;
+    const std::uint64_t end =
+        config.group_begin + active_groups * (t + 1) / num_threads;
+    launch.cores.push_back({begin, 1, end - begin});
   }
-  {
-    obs::HostProf::PhaseSpan execute_span(host_prof,
-                                          obs::HostPhase::kExecute);
-    if (host_threads <= 1) {
-      // Spans are per-thread; only the serial path may nest vm/exec here.
-      obs::HostProf::PhaseSpan vm_exec_span(
-          engine == KirExec::kBytecode ? host_prof : nullptr,
-          obs::HostPhase::kVmExec);
-      for (int t = 0; t < num_threads; ++t) {
-        // Contiguous block of the active group sub-range, row-major order
-        // (OpenMP static schedule).
-        const std::uint64_t begin =
-            config.group_begin + active_groups * t / num_threads;
-        const std::uint64_t end =
-            config.group_begin + active_groups * (t + 1) / num_threads;
-
-        kir::Bindings core_bindings = bindings;
-        core_bindings.local_scratch = {
-            scratch_[t].get(), kScratchSimBase + t * kScratchStride,
-            local_bytes + 64};
-
-        StatusOr<kir::Executor> executor = kir::Executor::Create(
-            &program, config, std::move(core_bindings), engine, bytecode);
-        if (!executor.ok()) return executor.status();
-        if (recorder_ != nullptr && recorder_->counters_enabled()) {
-          executor->set_opcode_tally(agg[t].opcode_tally.data());
-        }
-        executor->set_host_time(interp_prof.sink(t));
-
-        CoreSink sink(&hierarchy_, static_cast<std::uint32_t>(t));
-        for (std::uint64_t g = begin; g < end; ++g) {
-          const std::uint64_t gx = g % group_dims[0];
-          const std::uint64_t gy = (g / group_dims[0]) % group_dims[1];
-          const std::uint64_t gz = g / (group_dims[0] * group_dims[1]);
-          MALI_RETURN_IF_ERROR(
-              executor->RunGroup({gx, gy, gz}, &sink, &agg[t].run));
-        }
-        agg[t].groups = end - begin;
-        agg[t].l1_misses = sink.l1_misses;
-        agg[t].l2_misses = sink.l2_misses;
-      }
-    } else {
-      MALI_RETURN_IF_ERROR(RunGroupsParallel(program, config, bindings,
-                                             local_bytes, num_threads,
-                                             host_threads, engine, bytecode,
-                                             &agg));
-    }
-  }
-  interp_prof.Merge(program.name);
+  launch.scratch_base = kScratchSimBase;
+  launch.scratch_stride = kScratchStride;
+  launch.opcode_tally = recording;
+  launch.host_prof = host_prof;
+  StatusOr<sim::GroupRunResult> executed = runner_.Run(launch, options_);
+  if (!executed.ok()) return executed.status();
+  const std::vector<sim::CoreResult>& agg = executed->cores;
 
   // Phase 2 — timing model over the per-core aggregates.
   obs::HostProf::PhaseSpan merge_span(host_prof, obs::HostPhase::kMerge);
-  const bool recording = recorder_ != nullptr && recorder_->counters_enabled();
   std::vector<obs::CoreKernelCounters> core_counters(
       recording ? static_cast<std::size_t>(num_threads) : 0);
   for (int t = 0; t < num_threads; ++t) {
@@ -316,7 +239,7 @@ StatusOr<CpuRunResult> CortexA15Device::Run(const kir::Program& program,
     record.scope = record_scope_;
     record.seconds = seconds;
     record.cores = std::move(core_counters);
-    for (const CoreAggregate& a : agg) {
+    for (const sim::CoreResult& a : agg) {
       for (std::size_t op = 0; op < record.opcode_counts.size(); ++op) {
         record.opcode_counts[op] += a.opcode_tally[op];
       }
@@ -348,114 +271,6 @@ StatusOr<CpuRunResult> CortexA15Device::Run(const kir::Program& program,
     recorder_->AddKernel(std::move(record));
   }
   return result;
-}
-
-Status CortexA15Device::RunGroupsParallel(
-    const kir::Program& program, const kir::LaunchConfig& config,
-    const kir::Bindings& bindings, std::uint64_t local_bytes, int num_threads,
-    int host_threads, KirExec engine,
-    std::shared_ptr<const kir::vm::CompiledProgram> bytecode,
-    std::vector<CoreAggregate>* agg) {
-  const std::uint64_t active_groups = config.active_groups();
-  const auto group_dims = config.num_groups();
-
-  // One task = (modelled core, contiguous sub-block of its static-schedule
-  // block). Tasks are ordered core-major, sub-blocks ascending, so replay
-  // in task order reproduces the serial engine's cache access order.
-  struct GroupTask {
-    int core = 0;
-    std::uint64_t begin = 0;  // absolute row-major group indices
-    std::uint64_t end = 0;
-  };
-  const std::uint64_t chunks_per_core = std::max<std::uint64_t>(
-      1, (4 * static_cast<std::uint64_t>(host_threads) +
-          static_cast<std::uint64_t>(num_threads) - 1) /
-             static_cast<std::uint64_t>(num_threads));
-  std::vector<GroupTask> tasks;
-  for (int t = 0; t < num_threads; ++t) {
-    const std::uint64_t begin =
-        config.group_begin + active_groups * t / num_threads;
-    const std::uint64_t end =
-        config.group_begin + active_groups * (t + 1) / num_threads;
-    const std::uint64_t block = end - begin;
-    const std::uint64_t chunks = std::min<std::uint64_t>(
-        chunks_per_core, std::max<std::uint64_t>(block, 1));
-    for (std::uint64_t k = 0; k < chunks; ++k) {
-      tasks.push_back(
-          {t, begin + block * k / chunks, begin + block * (k + 1) / chunks});
-    }
-  }
-
-  if (pool_ == nullptr || pool_->num_workers() != host_threads) {
-    pool_ = std::make_unique<ThreadPool>(host_threads);
-  }
-
-  std::vector<std::vector<kir::MemEvent>> task_events(tasks.size());
-  std::vector<kir::WorkGroupRun> task_runs(tasks.size());
-  std::vector<std::vector<std::byte>> task_scratch(tasks.size());
-  // Per-task opcode tallies; merged per modelled core during replay.
-  const bool recording = recorder_ != nullptr && recorder_->counters_enabled();
-  std::vector<std::array<std::uint64_t, kir::kNumOpcodeValues>> task_tallies(
-      recording ? tasks.size() : 0);
-
-  auto run_task = [&](std::size_t i) -> Status {
-    const GroupTask& task = tasks[i];
-    kir::Bindings task_bindings = bindings;
-    // Private zeroed __local backing at the modelled core's scratch address.
-    task_scratch[i].assign(local_bytes + 64, std::byte{0});
-    task_bindings.local_scratch = {task_scratch[i].data(),
-                                   kScratchSimBase + task.core * kScratchStride,
-                                   local_bytes + 64};
-    StatusOr<kir::Executor> executor = kir::Executor::Create(
-        &program, config, std::move(task_bindings), engine, bytecode);
-    if (!executor.ok()) return executor.status();
-    if (recording) executor->set_opcode_tally(task_tallies[i].data());
-
-    kir::RecordingMemorySink sink(&task_events[i]);
-    for (std::uint64_t g = task.begin; g < task.end; ++g) {
-      const std::uint64_t gx = g % group_dims[0];
-      const std::uint64_t gy = (g / group_dims[0]) % group_dims[1];
-      const std::uint64_t gz = g / (group_dims[0] * group_dims[1]);
-      MALI_RETURN_IF_ERROR(executor->RunGroup({gx, gy, gz}, &sink, &task_runs[i]));
-    }
-    return Status::Ok();
-  };
-
-  auto replay_task = [&](std::size_t i) -> Status {
-    const GroupTask& task = tasks[i];
-    CoreAggregate& a = (*agg)[static_cast<std::size_t>(task.core)];
-    const auto core = static_cast<std::uint32_t>(task.core);
-    for (const kir::MemEvent& e : task_events[i]) {
-      if (e.kind == kir::MemEvent::kAtomic) {
-        const sim::AccessOutcome rd =
-            hierarchy_.Access(core, e.addr, e.bytes, /*is_write=*/false);
-        const sim::AccessOutcome wr =
-            hierarchy_.Access(core, e.addr, e.bytes, /*is_write=*/true);
-        a.l1_misses += rd.l1_misses + wr.l1_misses;
-        a.l2_misses += rd.l2_misses + wr.l2_misses;
-      } else {
-        const sim::AccessOutcome out = hierarchy_.Access(
-            core, e.addr, e.bytes, e.kind == kir::MemEvent::kWrite);
-        a.l1_misses += out.l1_misses;
-        a.l2_misses += out.l2_misses;
-      }
-    }
-    a.run.MergeFrom(task_runs[i]);
-    a.groups += task.end - task.begin;
-    if (recording) {
-      for (std::size_t op = 0; op < a.opcode_tally.size(); ++op) {
-        a.opcode_tally[op] += task_tallies[i][op];
-      }
-    }
-    // Release buffered state as the replay cursor passes.
-    task_events[i] = {};
-    task_scratch[i] = {};
-    return Status::Ok();
-  };
-
-  return RunOrderedPipeline(pool_.get(), tasks.size(),
-                            static_cast<std::size_t>(options_.ResolvedWindow()),
-                            run_task, replay_task);
 }
 
 }  // namespace malisim::cpu

@@ -7,21 +7,17 @@
 // parallel region.
 #pragma once
 
-#include <array>
 #include <cstdint>
-#include <memory>
 #include <string>
-#include <vector>
 
 #include "common/sim_options.h"
 #include "common/stats.h"
-#include "common/thread_pool.h"
 #include "cpu/a15_params.h"
 #include "kir/exec_types.h"
-#include "kir/interp.h"
 #include "kir/program.h"
 #include "power/profile.h"
 #include "sim/device.h"
+#include "sim/group_runner.h"
 #include "sim/memory_system.h"
 
 namespace malisim::obs {
@@ -88,27 +84,6 @@ class CortexA15Device : public sim::Device {
   static constexpr int kMaxCores = power::kNumA15Cores;
 
  private:
-  /// Functional results for one modelled core, produced by the execution
-  /// phase (serial or parallel) and consumed by the timing phase.
-  struct CoreAggregate {
-    kir::WorkGroupRun run;
-    std::uint64_t l1_misses = 0;
-    std::uint64_t l2_misses = 0;
-    std::uint64_t groups = 0;
-    /// Per-opcode dynamic counts; only filled while a recorder is attached.
-    std::array<std::uint64_t, kir::kNumOpcodeValues> opcode_tally{};
-  };
-
-  /// Record/replay execution across `host_threads` pool workers. `bytecode`
-  /// is the shared VM compilation when `engine` is kBytecode (null under
-  /// the interpreter).
-  Status RunGroupsParallel(
-      const kir::Program& program, const kir::LaunchConfig& config,
-      const kir::Bindings& bindings, std::uint64_t local_bytes,
-      int num_threads, int host_threads, KirExec engine,
-      std::shared_ptr<const kir::vm::CompiledProgram> bytecode,
-      std::vector<CoreAggregate>* agg);
-
   A15TimingParams timing_;
   sim::DeviceCaps caps_;
   sim::MemoryHierarchy hierarchy_;
@@ -116,10 +91,7 @@ class CortexA15Device : public sim::Device {
   SimOptions options_;
   obs::Recorder* recorder_ = nullptr;
   std::string record_scope_;
-  std::unique_ptr<ThreadPool> pool_;
-  // Scratch backing for kernels with __local arrays (one region per core).
-  std::vector<std::unique_ptr<std::byte[]>> scratch_;
-  std::uint64_t scratch_bytes_ = 0;
+  sim::GroupRunner runner_;
 };
 
 }  // namespace malisim::cpu

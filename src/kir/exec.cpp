@@ -13,6 +13,29 @@
 #include "kir/vm/vm.h"
 
 namespace malisim::kir {
+namespace {
+
+/// Bridges the interpreter's virtual sink to a recorder (null = drop).
+class RecorderSink final : public MemorySink {
+ public:
+  explicit RecorderSink(MemRecorder* recorder) : recorder_(recorder) {}
+
+  void OnAccess(std::uint64_t addr, std::uint32_t bytes,
+                bool is_write) override {
+    if (recorder_ != nullptr) {
+      recorder_->Record(addr, bytes,
+                        is_write ? MemEvent::kWrite : MemEvent::kRead);
+    }
+  }
+  void OnAtomic(std::uint64_t addr, std::uint32_t bytes) override {
+    if (recorder_ != nullptr) recorder_->Record(addr, bytes, MemEvent::kAtomic);
+  }
+
+ private:
+  MemRecorder* recorder_;
+};
+
+}  // namespace
 
 Executor::Executor() = default;
 Executor::Executor(Executor&&) noexcept = default;
@@ -45,14 +68,16 @@ StatusOr<Executor> Executor::Create(
 }
 
 Status Executor::RunGroup(const std::array<std::uint64_t, 3>& group_id,
-                          MemorySink* sink, WorkGroupRun* out) {
-  return interp_ != nullptr ? interp_->RunGroup(group_id, sink, out)
-                            : bytecode_->RunGroup(group_id, sink, out);
+                          MemRecorder* recorder, WorkGroupRun* out) {
+  if (interp_ == nullptr) return bytecode_->RunGroup(group_id, recorder, out);
+  RecorderSink sink(recorder);
+  return interp_->RunGroup(group_id, &sink, out);
 }
 
-Status Executor::RunAllGroups(MemorySink* sink, WorkGroupRun* out) {
-  return interp_ != nullptr ? interp_->RunAllGroups(sink, out)
-                            : bytecode_->RunAllGroups(sink, out);
+Status Executor::RunAllGroups(MemRecorder* recorder, WorkGroupRun* out) {
+  if (interp_ == nullptr) return bytecode_->RunAllGroups(recorder, out);
+  RecorderSink sink(recorder);
+  return interp_->RunAllGroups(&sink, out);
 }
 
 const LaunchConfig& Executor::config() const {
@@ -81,8 +106,7 @@ StatusOr<WorkGroupRun> RunProgram(const Program& program, LaunchConfig config,
       Executor::Create(&program, config, std::move(bindings), engine);
   if (!executor.ok()) return executor.status();
   WorkGroupRun run;
-  NullMemorySink sink;
-  MALI_RETURN_IF_ERROR(executor->RunAllGroups(&sink, &run));
+  MALI_RETURN_IF_ERROR(executor->RunAllGroups(nullptr, &run));
   return run;
 }
 
@@ -106,7 +130,7 @@ StatusOr<WorkGroupRun> RunProgramParallel(const Program& program,
   const std::uint64_t total_groups = config.total_groups();
   // Contiguous row-major chunks; each runs in a private executor. Chunk
   // boundaries never affect results: counts merge with integer addition
-  // and the null sink drops the access streams.
+  // and the access streams are dropped.
   const std::uint64_t num_chunks =
       std::min<std::uint64_t>(total_groups,
                               static_cast<std::uint64_t>(threads) * 4);
@@ -126,7 +150,6 @@ StatusOr<WorkGroupRun> RunProgramParallel(const Program& program,
     StatusOr<Executor> executor = Executor::Create(
         &program, config, std::move(chunk_bindings), engine, bytecode);
     if (!executor.ok()) return executor.status();
-    NullMemorySink sink;
     const std::uint64_t begin = total_groups * i / num_chunks;
     const std::uint64_t end = total_groups * (i + 1) / num_chunks;
     for (std::uint64_t g = begin; g < end; ++g) {
@@ -134,7 +157,7 @@ StatusOr<WorkGroupRun> RunProgramParallel(const Program& program,
       const std::uint64_t gy = (g / group_dims[0]) % group_dims[1];
       const std::uint64_t gz = g / (group_dims[0] * group_dims[1]);
       MALI_RETURN_IF_ERROR(
-          executor->RunGroup({gx, gy, gz}, &sink, &chunk_runs[i]));
+          executor->RunGroup({gx, gy, gz}, nullptr, &chunk_runs[i]));
     }
     return Status::Ok();
   };

@@ -61,4 +61,10 @@ void WorkGroupRun::MergeFrom(const WorkGroupRun& other) {
   weighted_group_cost += other.weighted_group_cost;
 }
 
+void MemRecorder::Flush() {
+  if (size_ == 0) return;
+  consumer_(std::span<const MemEvent>(chunk_.get(), size_));
+  size_ = 0;
+}
+
 }  // namespace malisim::kir

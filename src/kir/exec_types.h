@@ -1,12 +1,15 @@
-// Types shared between the KIR interpreter and the device timing models:
+// Types shared between the KIR executors and the device timing models:
 // launch geometry, argument bindings, the per-class operation histogram that
-// drives pipe-occupancy costing, and the memory sink through which the
-// interpreter streams simulated addresses into the cache models.
+// drives pipe-occupancy costing, and the bounded recorder through which the
+// executors stream simulated addresses towards the cache models.
 #pragma once
 
 #include <array>
 #include <cstddef>
 #include <cstdint>
+#include <functional>
+#include <memory>
+#include <span>
 #include <vector>
 
 #include "kir/opcode.h"
@@ -188,8 +191,49 @@ struct WorkGroupRun {
   void MergeFrom(const WorkGroupRun& other);
 };
 
-/// Receives every simulated memory access, in program order per work-item.
-/// Device models implement this on top of their cache hierarchies.
+/// One simulated memory access, in program order per work-item. Atomics
+/// stay a single event so the cache replay can reproduce the device models'
+/// contention accounting, not just the read+write pair. Trivially
+/// constructible, so a recorder chunk is allocated without being zeroed.
+struct MemEvent {
+  enum Kind : std::uint8_t { kRead = 0, kWrite = 1, kAtomic = 2 };
+  std::uint64_t addr;
+  std::uint32_t bytes;
+  std::uint8_t kind;
+};
+
+/// Bounded recorder of an executor's memory accesses: the executor appends
+/// each access to one fixed chunk of kChunkEvents (64 KiB), and the chunk
+/// goes to the consumer whenever it fills and at every Flush(). A launch
+/// therefore never holds more than one chunk per recorder, and the
+/// consumer sees every event exactly once, in program order. Device models
+/// replay chunks into the cache hierarchy (sim::MemoryHierarchy::Replay);
+/// tests collect them.
+class MemRecorder {
+ public:
+  static constexpr std::size_t kChunkEvents = 4096;
+  using Consumer = std::function<void(std::span<const MemEvent>)>;
+
+  explicit MemRecorder(Consumer consumer)
+      : consumer_(std::move(consumer)), chunk_(new MemEvent[kChunkEvents]) {}
+
+  void Record(std::uint64_t addr, std::uint32_t bytes, MemEvent::Kind kind) {
+    chunk_[size_] = {addr, bytes, kind};
+    if (++size_ == kChunkEvents) Flush();
+  }
+
+  /// Hands the pending events, if any, to the consumer.
+  void Flush();
+
+ private:
+  Consumer consumer_;
+  std::unique_ptr<MemEvent[]> chunk_;
+  std::size_t size_ = 0;
+};
+
+/// Receives every simulated memory access of the reference interpreter, in
+/// program order per work-item. The bytecode VM records into a MemRecorder
+/// instead; kir::Executor bridges the interpreter to the same recorder.
 class MemorySink {
  public:
   virtual ~MemorySink() = default;
@@ -199,51 +243,6 @@ class MemorySink {
     OnAccess(addr, bytes, false);
     OnAccess(addr, bytes, true);
   }
-  /// True when every event is ignored (NullMemorySink): executors may then
-  /// elide the per-access virtual dispatch entirely. The modelled counters
-  /// in WorkGroupRun are accumulated by the executor, never the sink, so
-  /// eliding changes nothing observable.
-  virtual bool discards_events() const { return false; }
-};
-
-/// Sink that drops everything (pure functional runs in tests).
-class NullMemorySink final : public MemorySink {
- public:
-  void OnAccess(std::uint64_t, std::uint32_t, bool) override {}
-  bool discards_events() const override { return true; }
-};
-
-/// One buffered memory access, as recorded by the parallel engine's
-/// functional phase and replayed into the cache models in canonical order.
-/// Atomics are kept as a single event so replay can reproduce the device
-/// models' contention accounting, not just the read+write pair.
-struct MemEvent {
-  enum Kind : std::uint8_t { kRead = 0, kWrite = 1, kAtomic = 2 };
-  std::uint64_t addr = 0;
-  std::uint32_t bytes = 0;
-  std::uint8_t kind = kRead;
-};
-
-/// Sink that appends every access to an event buffer instead of probing a
-/// cache model. This is the functional half of the parallel engine's
-/// functional/timing split: work-groups execute concurrently against
-/// recording sinks, and the order-dependent cache hierarchy consumes the
-/// buffered streams serially afterwards.
-class RecordingMemorySink final : public MemorySink {
- public:
-  explicit RecordingMemorySink(std::vector<MemEvent>* events)
-      : events_(events) {}
-
-  void OnAccess(std::uint64_t addr, std::uint32_t bytes, bool is_write) override {
-    events_->push_back(
-        {addr, bytes, is_write ? MemEvent::kWrite : MemEvent::kRead});
-  }
-  void OnAtomic(std::uint64_t addr, std::uint32_t bytes) override {
-    events_->push_back({addr, bytes, MemEvent::kAtomic});
-  }
-
- private:
-  std::vector<MemEvent>* events_;
 };
 
 }  // namespace malisim::kir

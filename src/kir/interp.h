@@ -2,13 +2,13 @@
 //
 // Two engines run a kernel functionally (real data, full OpenCL NDRange
 // semantics including work-group barriers) while streaming simulated memory
-// addresses into a MemorySink and tallying executed operations into an
-// OpHistogram:
+// addresses out and tallying executed operations into an OpHistogram:
 //
-//  - InterpExecutor: the reference tree-walk over kir::Instr (this file).
+//  - InterpExecutor: the reference tree-walk over kir::Instr (this file),
+//    streaming through the virtual MemorySink.
 //  - vm::VmExecutor: the compile-once bytecode VM (vm/vm.h), bit-identical
 //    to the interpreter by construction and by the `ctest -L kirvm`
-//    differential suite.
+//    differential suite, recording into a bounded MemRecorder.
 //
 // Device models wrap the Executor facade below, which selects an engine via
 // SimOptions::kir_exec (--kir-exec=, bytecode by default): Mali runs whole
@@ -186,9 +186,11 @@ class Executor {
   Executor& operator=(Executor&&) noexcept;
   ~Executor();
 
+  /// Memory accesses go to `recorder` (null = dropped) under both engines;
+  /// the interpreter reaches it through a MemorySink bridge.
   Status RunGroup(const std::array<std::uint64_t, 3>& group_id,
-                  MemorySink* sink, WorkGroupRun* out);
-  Status RunAllGroups(MemorySink* sink, WorkGroupRun* out);
+                  MemRecorder* recorder, WorkGroupRun* out);
+  Status RunAllGroups(MemRecorder* recorder, WorkGroupRun* out);
   const LaunchConfig& config() const;
   void set_opcode_tally(std::uint64_t* tally);
   void set_host_time(HostTimeSink* sink);
@@ -202,8 +204,8 @@ class Executor {
   std::unique_ptr<vm::VmExecutor> bytecode_;
 };
 
-/// Convenience for tests and examples: run the whole NDRange with no memory
-/// sink, returning the aggregate operation counts.
+/// Convenience for tests and examples: run the whole NDRange, dropping the
+/// memory-access stream, and return the aggregate operation counts.
 StatusOr<WorkGroupRun> RunProgram(const Program& program, LaunchConfig config,
                                   Bindings bindings,
                                   KirExec engine = KirExec::kBytecode);

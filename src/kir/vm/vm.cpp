@@ -81,28 +81,29 @@ VmExecutor::ItemCtx VmExecutor::MakeCtx(
 }
 
 Status VmExecutor::RunGroup(const std::array<std::uint64_t, 3>& group_id,
-                            MemorySink* sink, WorkGroupRun* out) {
-  MALI_CHECK(sink != nullptr && out != nullptr);
+                            MemRecorder* recorder, WorkGroupRun* out) {
+  MALI_CHECK(out != nullptr);
   const auto groups = config_.num_groups();
   for (int d = 0; d < 3; ++d) {
     if (group_id[d] >= groups[d]) {
       return OutOfRangeError("group id out of range");
     }
   }
-  const Status st = code_->has_barrier ? RunGroupPhased(group_id, sink, out)
-                                       : RunGroupFast(group_id, sink, out);
+  const Status st = code_->has_barrier
+                        ? RunGroupPhased(group_id, recorder, out)
+                        : RunGroupFast(group_id, recorder, out);
   // Flush on faults too: the interpreter counts every instruction it
   // reached (including the faulting one), and so do the deferred counts.
   FlushCounts(out);
   return st;
 }
 
-Status VmExecutor::RunAllGroups(MemorySink* sink, WorkGroupRun* out) {
+Status VmExecutor::RunAllGroups(MemRecorder* recorder, WorkGroupRun* out) {
   const auto groups = config_.num_groups();
   for (std::uint64_t gz = 0; gz < groups[2]; ++gz) {
     for (std::uint64_t gy = 0; gy < groups[1]; ++gy) {
       for (std::uint64_t gx = 0; gx < groups[0]; ++gx) {
-        MALI_RETURN_IF_ERROR(RunGroup({gx, gy, gz}, sink, out));
+        MALI_RETURN_IF_ERROR(RunGroup({gx, gy, gz}, recorder, out));
       }
     }
   }
@@ -110,7 +111,7 @@ Status VmExecutor::RunAllGroups(MemorySink* sink, WorkGroupRun* out) {
 }
 
 Status VmExecutor::RunGroupFast(const std::array<std::uint64_t, 3>& group_id,
-                                MemorySink* sink, WorkGroupRun* out) {
+                                MemRecorder* recorder, WorkGroupRun* out) {
   const std::uint64_t wg = config_.work_group_size();
   RegValue* regs = reg_arena_.data();
   std::uint64_t max_item_weight = 0;
@@ -120,7 +121,7 @@ Status VmExecutor::RunGroupFast(const std::array<std::uint64_t, 3>& group_id,
     const ItemCtx ctx = MakeCtx(group_id, t);
     const std::uint64_t item_start = steps_executed_;
     std::uint32_t pc = 0;
-    StatusOr<StopReason> stop = RunItem(ctx, regs, &pc, sink, out);
+    StatusOr<StopReason> stop = RunItem(ctx, regs, &pc, recorder, out);
     if (!stop.ok()) return stop.status();
     if (*stop == StopReason::kBarrier) {
       return InternalError("barrier reached outside phased execution");
@@ -134,7 +135,7 @@ Status VmExecutor::RunGroupFast(const std::array<std::uint64_t, 3>& group_id,
 }
 
 Status VmExecutor::RunGroupPhased(const std::array<std::uint64_t, 3>& group_id,
-                                  MemorySink* sink, WorkGroupRun* out) {
+                                  MemRecorder* recorder, WorkGroupRun* out) {
   const std::uint64_t wg = config_.work_group_size();
   std::memset(static_cast<void*>(reg_arena_.data()), 0,
               sizeof(RegValue) * reg_arena_.size());
@@ -155,7 +156,7 @@ Status VmExecutor::RunGroupPhased(const std::array<std::uint64_t, 3>& group_id,
       RegValue* regs = reg_arena_.data() + t * num_regs_;
       const std::uint64_t item_start = steps_executed_;
       StatusOr<StopReason> stop =
-          RunItem(barrier_ctxs_[t], regs, &barrier_pcs_[t], sink, out);
+          RunItem(barrier_ctxs_[t], regs, &barrier_pcs_[t], recorder, out);
       barrier_weights_[t] += steps_executed_ - item_start;
       if (!stop.ok()) return stop.status();
       if (*stop == StopReason::kDone) {
@@ -185,16 +186,16 @@ Status VmExecutor::RunGroupPhased(const std::array<std::uint64_t, 3>& group_id,
 StatusOr<VmExecutor::StopReason> VmExecutor::RunItem(const ItemCtx& ctx,
                                                      RegValue* regs,
                                                      std::uint32_t* pc,
-                                                     MemorySink* sink,
+                                                     MemRecorder* recorder,
                                                      WorkGroupRun* out) {
-  if (sink->discards_events()) {
+  if (recorder == nullptr) {
     return host_time_ != nullptr
-               ? RunItemImpl<true, true>(ctx, regs, pc, sink, out)
-               : RunItemImpl<false, true>(ctx, regs, pc, sink, out);
+               ? RunItemImpl<true, true>(ctx, regs, pc, recorder, out)
+               : RunItemImpl<false, true>(ctx, regs, pc, recorder, out);
   }
   return host_time_ != nullptr
-             ? RunItemImpl<true, false>(ctx, regs, pc, sink, out)
-             : RunItemImpl<false, false>(ctx, regs, pc, sink, out);
+             ? RunItemImpl<true, false>(ctx, regs, pc, recorder, out)
+             : RunItemImpl<false, false>(ctx, regs, pc, recorder, out);
 }
 
 namespace {
@@ -341,8 +342,9 @@ inline void CopyBytes(void* dst, const void* src, std::uint32_t n) {
           std::to_string(elem) + ")"));                                      \
     }                                                                        \
     CopyBytes(regs[in.target >> 16].raw, slot.host + off, in.access_bytes);  \
-    if constexpr (!kNullSink) {                                              \
-      sink->OnAccess(slot.sim_addr + off, in.access_bytes, false);           \
+    if constexpr (!kDiscard) {                                               \
+      recorder->Record(slot.sim_addr + off, in.access_bytes,                 \
+                       MemEvent::kRead);                                     \
     }                                                                        \
     BODY;                                                                    \
     break;                                                                   \
@@ -366,8 +368,8 @@ inline void CopyBytes(void* dst, const void* src, std::uint32_t n) {
           std::to_string(elem) + ")"));                                      \
     }                                                                        \
     CopyBytes(regs[in.target >> 16].raw, slot.host + off, bytes);            \
-    if constexpr (!kNullSink) {                                              \
-      sink->OnAccess(slot.sim_addr + off, bytes, false);                     \
+    if constexpr (!kDiscard) {                                               \
+      recorder->Record(slot.sim_addr + off, bytes, MemEvent::kRead);         \
     }                                                                        \
     BODY;                                                                    \
     RegValue& cnt = regs[in.access_bytes & 0xffff];                          \
@@ -381,11 +383,11 @@ inline void CopyBytes(void* dst, const void* src, std::uint32_t n) {
 
 }  // namespace
 
-template <bool kProf, bool kNullSink>
+template <bool kProf, bool kDiscard>
 StatusOr<VmExecutor::StopReason> VmExecutor::RunItemImpl(
-    const ItemCtx& ctx, RegValue* regs, std::uint32_t* pc, MemorySink* sink,
-    WorkGroupRun* out) {
-  (void)sink;  // unused in the kNullSink specialization
+    const ItemCtx& ctx, RegValue* regs, std::uint32_t* pc,
+    MemRecorder* recorder, WorkGroupRun* out) {
+  (void)recorder;  // unused in the kDiscard specialization
   (void)out;   // all accounting is deferred to FlushCounts
   const CompiledProgram& cp = *code_;
   const VInstr* const code = cp.code.data();
@@ -693,8 +695,9 @@ StatusOr<VmExecutor::StopReason> VmExecutor::RunItemImpl(
               std::to_string(elem) + ")"));
         }
         CopyBytes(D.raw, slot.host + off, in.access_bytes);
-        if constexpr (!kNullSink) {
-          sink->OnAccess(slot.sim_addr + off, in.access_bytes, false);
+        if constexpr (!kDiscard) {
+          recorder->Record(slot.sim_addr + off, in.access_bytes,
+                           MemEvent::kRead);
         }
         break;
       }
@@ -709,8 +712,9 @@ StatusOr<VmExecutor::StopReason> VmExecutor::RunItemImpl(
               std::to_string(elem) + ")"));
         }
         CopyBytes(slot.host + off, A.raw, in.access_bytes);
-        if constexpr (!kNullSink) {
-          sink->OnAccess(slot.sim_addr + off, in.access_bytes, true);
+        if constexpr (!kDiscard) {
+          recorder->Record(slot.sim_addr + off, in.access_bytes,
+                           MemEvent::kWrite);
         }
         break;
       }
@@ -729,8 +733,8 @@ StatusOr<VmExecutor::StopReason> VmExecutor::RunItemImpl(
         std::atomic_ref<std::int32_t>(
             *reinterpret_cast<std::int32_t*>(slot.host + off))
             .fetch_add(A.i32[0], std::memory_order_relaxed);
-        if constexpr (!kNullSink) {
-          sink->OnAtomic(slot.sim_addr + off, 4);
+        if constexpr (!kDiscard) {
+          recorder->Record(slot.sim_addr + off, 4, MemEvent::kAtomic);
         }
         break;
       }

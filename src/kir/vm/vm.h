@@ -5,9 +5,11 @@
 // host-time hooks, and — by the accounting contract in bytecode.h —
 // bit-identical results, histograms, tallies, step weights and memory-access
 // streams to the reference interpreter. The speed comes from executing the
-// pre-decoded stream with one dense switch per instruction and deferring
-// all histogram/tally work to a per-instruction execution counter that is
-// expanded through the compile-time side tables once per work-group.
+// pre-decoded stream with one dense switch per instruction, appending
+// memory accesses to a bounded kir::MemRecorder chunk instead of a virtual
+// call per access, and deferring all histogram/tally work to a
+// per-instruction execution counter that is expanded through the
+// compile-time side tables once per work-group.
 #pragma once
 
 #include <array>
@@ -32,14 +34,15 @@ class VmExecutor {
       const Program* program, std::shared_ptr<const CompiledProgram> code,
       LaunchConfig config, Bindings bindings);
 
-  /// Executes one work-group; merges results into `out` (interp contract).
+  /// Executes one work-group; merges results into `out` (interp contract)
+  /// and appends its memory accesses to `recorder` (null = drop them).
   /// Deferred per-instruction counts are flushed into `out` on every exit,
   /// including faults, so partial counts match the interpreter's.
   Status RunGroup(const std::array<std::uint64_t, 3>& group_id,
-                  MemorySink* sink, WorkGroupRun* out);
+                  MemRecorder* recorder, WorkGroupRun* out);
 
   /// Executes every work-group in row-major group order.
-  Status RunAllGroups(MemorySink* sink, WorkGroupRun* out);
+  Status RunAllGroups(MemRecorder* recorder, WorkGroupRun* out);
 
   const LaunchConfig& config() const { return config_; }
   const CompiledProgram& compiled() const { return *code_; }
@@ -77,20 +80,20 @@ class VmExecutor {
                   std::uint64_t t) const;
 
   Status RunGroupFast(const std::array<std::uint64_t, 3>& group_id,
-                      MemorySink* sink, WorkGroupRun* out);
+                      MemRecorder* recorder, WorkGroupRun* out);
   Status RunGroupPhased(const std::array<std::uint64_t, 3>& group_id,
-                        MemorySink* sink, WorkGroupRun* out);
+                        MemRecorder* recorder, WorkGroupRun* out);
 
   /// Runs one work-item from *pc until completion, fault, or barrier.
   StatusOr<StopReason> RunItem(const ItemCtx& ctx, RegValue* regs,
-                               std::uint32_t* pc, MemorySink* sink,
+                               std::uint32_t* pc, MemRecorder* recorder,
                                WorkGroupRun* out);
-  /// kProf gates the host-time countdown; kNullSink elides the per-access
-  /// virtual sink dispatch when the sink discards events (RunProgram's
-  /// functional runs) — both are specialized out of the hot loop.
-  template <bool kProf, bool kNullSink>
+  /// kProf gates the host-time countdown; kDiscard drops the access stream
+  /// when there is no recorder (RunProgram's functional runs) — both are
+  /// specialized out of the hot loop.
+  template <bool kProf, bool kDiscard>
   StatusOr<StopReason> RunItemImpl(const ItemCtx& ctx, RegValue* regs,
-                                   std::uint32_t* pc, MemorySink* sink,
+                                   std::uint32_t* pc, MemRecorder* recorder,
                                    WorkGroupRun* out);
 
   /// Expands the deferred per-instruction execution counts through the

@@ -43,24 +43,28 @@ std::uint64_t CompileCache::Key(const kir::Program& program,
   return h;
 }
 
-std::shared_ptr<const CompileCache::Entry> CompileCache::Lookup(
-    std::uint64_t key) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = entries_.find(key);
-  if (it == entries_.end()) {
-    ++stats_.misses;
-    return nullptr;
+StatusOr<std::shared_ptr<const CompileCache::Entry>> CompileCache::GetOrCompile(
+    std::uint64_t key, const std::function<StatusOr<Entry>()>& compile) {
+  std::unique_lock<std::mutex> lock(mu_);
+  for (;;) {
+    if (auto it = entries_.find(key); it != entries_.end()) {
+      ++stats_.hits;
+      return it->second;
+    }
+    if (!in_flight_.contains(key)) break;
+    compiled_.wait(lock);
   }
-  ++stats_.hits;
-  return it->second;
-}
-
-std::shared_ptr<const CompileCache::Entry> CompileCache::Insert(
-    std::uint64_t key, Entry entry) {
-  auto shared = std::make_shared<const Entry>(std::move(entry));
-  std::lock_guard<std::mutex> lock(mu_);
-  auto [it, inserted] = entries_.emplace(key, std::move(shared));
-  return it->second;
+  in_flight_.insert(key);
+  ++stats_.misses;
+  lock.unlock();
+  StatusOr<Entry> fresh = compile();
+  lock.lock();
+  in_flight_.erase(key);
+  compiled_.notify_all();
+  if (!fresh.ok()) return fresh.status();
+  return entries_
+      .emplace(key, std::make_shared<const Entry>(*std::move(fresh)))
+      .first->second;
 }
 
 CompileCache::Stats CompileCache::stats() const {

@@ -13,13 +13,18 @@
 // exact while the cache is shared between concurrent workers.
 //
 // Thread safety: all methods are safe to call concurrently; entries are
-// immutable once published (shared_ptr<const Entry>).
+// immutable once published (shared_ptr<const Entry>). Misses are
+// single-flight: concurrent callers missing on one key wait for one
+// compile, so the hit/miss split is the same at any worker count.
 #pragma once
 
+#include <condition_variable>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <unordered_map>
+#include <unordered_set>
 
 #include "kir/program.h"
 #include "mali/compiler.h"
@@ -52,20 +57,22 @@ class CompileCache {
   static std::uint64_t Key(const kir::Program& program,
                            const MaliTimingParams& timing);
 
-  /// Returns the entry for `key`, or nullptr on a miss.
-  std::shared_ptr<const Entry> Lookup(std::uint64_t key);
-
-  /// Publishes an entry for `key`. First writer wins on a race; returns
-  /// the entry that ended up in the cache (the analysis is deterministic,
-  /// so racing writers always carry equal payloads).
-  std::shared_ptr<const Entry> Insert(std::uint64_t key, Entry entry);
+  /// Returns the entry for `key`, running `compile` (outside the lock) on
+  /// a miss and publishing its result. A caller that misses while another
+  /// compiles the same key waits for that compile and counts as a hit, so
+  /// misses equal the distinct keys compiled. A failed compile is returned
+  /// to its caller and not cached; callers waiting on it then retry.
+  StatusOr<std::shared_ptr<const Entry>> GetOrCompile(
+      std::uint64_t key, const std::function<StatusOr<Entry>()>& compile);
 
   Stats stats() const;
   std::size_t size() const;
 
  private:
   mutable std::mutex mu_;
+  std::condition_variable compiled_;  // signalled when a flight lands
   std::unordered_map<std::uint64_t, std::shared_ptr<const Entry>> entries_;
+  std::unordered_set<std::uint64_t> in_flight_;
   Stats stats_;
 };
 

@@ -4,23 +4,18 @@
 // and reports the activity profile for the power model.
 #pragma once
 
-#include <array>
 #include <cstdint>
-#include <memory>
 #include <string>
-#include <unordered_map>
-#include <vector>
 
 #include "common/sim_options.h"
 #include "common/stats.h"
-#include "common/thread_pool.h"
 #include "kir/exec_types.h"
-#include "kir/interp.h"
 #include "kir/program.h"
 #include "mali/compiler.h"
 #include "mali/t604_params.h"
 #include "power/profile.h"
 #include "sim/device.h"
+#include "sim/group_runner.h"
 #include "sim/memory_system.h"
 
 namespace malisim::obs {
@@ -69,11 +64,9 @@ class MaliT604Device : public sim::Device {
 
   const MaliTimingParams& timing() const { return timing_; }
 
-  /// Host-side execution options. With threads == 1 (default) work-groups
-  /// execute inline against the cache hierarchy, exactly as the original
-  /// serial engine did. With threads > 1 the functional phase runs
-  /// concurrently on a pool while recorded memory-event streams are
-  /// replayed into the caches in the serial engine's canonical order, so
+  /// Host-side execution options. Work-groups run through the shared
+  /// sim::GroupRunner: their recorded memory accesses replay into the
+  /// caches in one canonical order whatever the host thread count, so
   /// modelled cycles/power/energy stay bit-identical. Host threads never
   /// change the four modelled shader cores.
   void set_sim_options(const SimOptions& options) override {
@@ -114,28 +107,6 @@ class MaliT604Device : public sim::Device {
                                            std::uint64_t budget = 64);
 
  private:
-  /// Functional results for one modelled shader core, produced by the
-  /// execution phase (serial or parallel) and consumed by the timing phase.
-  struct CoreAggregate {
-    kir::WorkGroupRun run;
-    std::uint64_t l1_misses = 0;
-    std::uint64_t l2_misses = 0;
-    std::uint64_t groups = 0;
-    /// Per-opcode dynamic counts; only filled while a recorder is attached.
-    std::array<std::uint64_t, kir::kNumOpcodeValues> opcode_tally{};
-  };
-
-  /// Record/replay execution across `host_threads` pool workers. `bytecode`
-  /// is the shared VM compilation when `engine` is kBytecode (null under
-  /// the interpreter).
-  Status RunGroupsParallel(
-      const kir::Program& program, const kir::LaunchConfig& config,
-      const kir::Bindings& bindings, std::uint64_t local_bytes,
-      int host_threads, KirExec engine,
-      std::shared_ptr<const kir::vm::CompiledProgram> bytecode,
-      std::vector<CoreAggregate>* agg,
-      std::unordered_map<std::uint64_t, std::uint64_t>* atomic_lines);
-
   MaliTimingParams timing_;
   sim::DeviceCaps caps_;
   sim::MemoryHierarchy hierarchy_;
@@ -144,9 +115,7 @@ class MaliT604Device : public sim::Device {
   obs::Recorder* recorder_ = nullptr;
   fault::FaultInjector* fault_injector_ = nullptr;
   std::string record_scope_;
-  std::unique_ptr<ThreadPool> pool_;
-  std::vector<std::unique_ptr<std::byte[]>> scratch_;
-  std::uint64_t scratch_bytes_ = 0;
+  sim::GroupRunner runner_;
 };
 
 }  // namespace malisim::mali

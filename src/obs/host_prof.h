@@ -57,6 +57,7 @@ enum class HostPhase : int {
   kVariant,          // one benchmark variant end to end (root span)
   kVmCompile,        // KIR -> VM bytecode lowering (kir::vm::CompileProgram)
   kVmExec,           // bytecode-VM kernel execution (nested under execute)
+  kMemReplay,        // cache/DRAM replay of recorded accesses (in vm/exec)
   kNumPhases,
 };
 

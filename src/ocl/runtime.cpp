@@ -126,97 +126,80 @@ Program::Program(std::vector<kir::Program> kernels,
 
 Status Program::Build() {
   if (built_) return Status::Ok();
-  obs::HostProf::PhaseSpan compile_span(
-      recorder_ != nullptr ? recorder_->host_prof() : nullptr,
-      obs::HostPhase::kCompile);
+  obs::HostProf* host_prof =
+      recorder_ != nullptr ? recorder_->host_prof() : nullptr;
+  obs::HostProf::PhaseSpan compile_span(host_prof, obs::HostPhase::kCompile);
   build_log_.clear();
   Status first_error;
   for (kir::Program& kernel : kernels_) {
-    std::shared_ptr<const mali::CompileCache::Entry> entry;
-    std::uint64_t cache_key = 0;
-    if (compile_cache_ != nullptr) {
-      cache_key = mali::CompileCache::Key(kernel, timing_);
-      entry = compile_cache_->Lookup(cache_key);
-    }
-
-    StatusOr<mali::CompiledKernel> compiled = InternalError("uncompiled");
-    if (entry != nullptr) {
-      // Cache hit: reuse the post-pass program and the pure analysis, then
-      // run the fault gates exactly as a fresh compile would — the injector
-      // consumes the same decisions on hit and miss.
-      kernel = entry->transformed;
-      mali::CompiledKernel k = entry->analyzed;
-      k.program = &kernel;
-      Status faults = mali::ApplyBuildFaults(&k, kernel, timing_, compiler_);
-      if (faults.ok()) {
-        compiled = std::move(k);
-      } else {
-        compiled = std::move(faults);
-      }
-    } else {
-      // Driver-side optimization pipeline (-cl-opt level of the real
-      // driver).
-      StatusOr<int> folded = kir::ConstantFold(&kernel);
+    // The pure half of the compile: the driver-side optimization pipeline
+    // (-cl-opt level of the real driver), the Mali analysis and the VM
+    // lowering. It is a function of the kernel text and the timing
+    // parameters alone, which is what lets the cache share it.
+    const auto compile = [&]() -> StatusOr<mali::CompileCache::Entry> {
+      mali::CompileCache::Entry fresh;
+      fresh.transformed = kernel;
+      StatusOr<int> folded = kir::ConstantFold(&fresh.transformed);
       if (!folded.ok()) return folded.status();
-      StatusOr<int> removed = kir::DeadCodeElim(&kernel);
+      StatusOr<int> removed = kir::DeadCodeElim(&fresh.transformed);
       if (!removed.ok()) return removed.status();
-
       StatusOr<mali::CompiledKernel> analyzed =
-          mali::AnalyzeForMali(kernel, timing_);
-      if (analyzed.ok()) {
-        // Lower to VM bytecode under its own phase so malisim-prof can
-        // separate it from the analysis; it rides the cache entry, so a
-        // hit skips this too.
-        obs::HostProf::PhaseSpan vm_span(
-            recorder_ != nullptr ? recorder_->host_prof() : nullptr,
-            obs::HostPhase::kVmCompile);
-        StatusOr<std::shared_ptr<const kir::vm::CompiledProgram>> bytecode =
-            kir::vm::CompileProgram(kernel);
-        if (bytecode.ok()) {
-          analyzed->bytecode = *std::move(bytecode);
-        } else {
-          analyzed = bytecode.status();
-        }
-      }
-      if (!analyzed.ok()) {
-        compiled = analyzed.status();
-      } else {
-        if (compile_cache_ != nullptr) {
-          mali::CompileCache::Entry fresh;
-          fresh.transformed = kernel;
-          fresh.analyzed = *analyzed;
-          fresh.analyzed.program = nullptr;
-          compile_cache_->Insert(cache_key, std::move(fresh));
-        }
-        mali::CompiledKernel k = *std::move(analyzed);
-        Status faults =
-            mali::ApplyBuildFaults(&k, kernel, timing_, compiler_);
-        if (faults.ok()) {
-          compiled = std::move(k);
-        } else {
-          compiled = std::move(faults);
-        }
-      }
+          mali::AnalyzeForMali(fresh.transformed, timing_);
+      if (!analyzed.ok()) return analyzed.status();
+      // Lower to VM bytecode under its own phase so malisim-prof can
+      // separate it from the analysis; it rides the entry, so a cache hit
+      // skips this too.
+      obs::HostProf::PhaseSpan vm_span(host_prof, obs::HostPhase::kVmCompile);
+      StatusOr<std::shared_ptr<const kir::vm::CompiledProgram>> bytecode =
+          kir::vm::CompileProgram(fresh.transformed);
+      if (!bytecode.ok()) return bytecode.status();
+      fresh.analyzed = *std::move(analyzed);
+      fresh.analyzed.bytecode = *std::move(bytecode);
+      fresh.analyzed.program = nullptr;
+      return fresh;
+    };
+    StatusOr<std::shared_ptr<const mali::CompileCache::Entry>> entry =
+        InternalError("uncompiled");
+    if (compile_cache_ != nullptr) {
+      entry = compile_cache_->GetOrCompile(
+          mali::CompileCache::Key(kernel, timing_), compile);
+    } else if (StatusOr<mali::CompileCache::Entry> fresh = compile();
+               fresh.ok()) {
+      entry = std::make_shared<const mali::CompileCache::Entry>(
+          *std::move(fresh));
+    } else {
+      entry = fresh.status();
     }
-    if (!compiled.ok()) {
+
+    mali::CompiledKernel compiled;
+    Status status = entry.status();
+    if (status.ok()) {
+      // Adopt the post-pass program and the pure analysis, then run the
+      // fault gates, which are never cached: the injector consumes the same
+      // decisions on a cache hit, a miss and a cacheless build.
+      kernel = (*entry)->transformed;
+      compiled = (*entry)->analyzed;
+      compiled.program = &kernel;
+      status = mali::ApplyBuildFaults(&compiled, kernel, timing_, compiler_);
+    }
+    if (!status.ok()) {
       MALI_LOG_WARN("clBuildProgram: kernel '%s' failed to compile: %s",
-                    kernel.name.c_str(),
-                    compiled.status().ToString().c_str());
-      build_log_ += "error: kernel '" + kernel.name +
-                    "': " + compiled.status().ToString() + "\n";
-      if (first_error.ok()) first_error = compiled.status();
+                    kernel.name.c_str(), status.ToString().c_str());
+      build_log_ +=
+          "error: kernel '" + kernel.name + "': " + status.ToString() + "\n";
+      if (first_error.ok()) first_error = status;
       continue;
     }
     build_log_ += "kernel '" + kernel.name + "': " +
-                  std::to_string(compiled->live_reg_bytes) +
+                  std::to_string(compiled.live_reg_bytes) +
                   " reg bytes/work-item, " +
-                  std::to_string(compiled->threads_per_core) +
+                  std::to_string(compiled.threads_per_core) +
                   " threads/core" +
-                  (compiled->exceeds_resources
+                  (compiled.exceeds_resources
                        ? " (exceeds per-thread budget: enqueue will fail)"
                        : "") +
                   "\n";
-    compiled_.emplace(kernel.name, *compiled);
+    compiled_.emplace(kernel.name, std::move(compiled));
   }
   if (!first_error.ok()) return first_error;
   built_ = true;

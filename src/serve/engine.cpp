@@ -420,10 +420,12 @@ ServeReport ServeEngine::Drain() {
     report.breakers.push_back({v, b.state(), b.trips()});
   }
   report.host_elapsed_sec = host_elapsed;
+  // Completed jobs only: shed, failed and deadline-exceeded results are
+  // accounted, but they are not throughput.
+  const std::uint64_t completed =
+      report.count(JobState::kOk) + report.count(JobState::kDegraded);
   report.jobs_per_host_sec =
-      host_elapsed > 0.0
-          ? static_cast<double>(report.results.size()) / host_elapsed
-          : 0.0;
+      host_elapsed > 0.0 ? static_cast<double>(completed) / host_elapsed : 0.0;
   report.compile_cache_stats = compile_cache_.stats();
 
   // Metrics. Everything under "serve/" is a pure function of the job set

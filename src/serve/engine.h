@@ -105,6 +105,7 @@ struct ServeReport {
   /// wall-clock under "serve_host/".
   obs::MetricsSnapshot metrics;
   double host_elapsed_sec = 0.0;
+  /// Completed (ok + degraded) jobs per host second.
   double jobs_per_host_sec = 0.0;
   mali::CompileCache::Stats compile_cache_stats;
 

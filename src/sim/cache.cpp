@@ -1,5 +1,6 @@
 #include "sim/cache.h"
 
+#include <algorithm>
 #include <bit>
 
 namespace malisim::sim {
@@ -11,9 +12,11 @@ CacheModel::CacheModel(const CacheConfig& config) : config_(config) {
   const std::uint64_t sets = config.num_sets();
   MALI_CHECK_MSG(sets > 0 && std::has_single_bit(sets),
                  "cache set count must be a positive power of two");
+  ways_ = config.associativity;
   set_mask_ = sets - 1;
+  set_shift_ = static_cast<std::uint32_t>(std::countr_zero(sets));
   line_shift_ = static_cast<std::uint32_t>(std::countr_zero(config.line_bytes));
-  lines_.resize(sets * config.associativity);
+  lines_.assign(sets * ways_, kInvalid);
 }
 
 CacheAccessResult CacheModel::Access(std::uint64_t addr, std::uint32_t size,
@@ -23,64 +26,17 @@ CacheAccessResult CacheModel::Access(std::uint64_t addr, std::uint32_t size,
   const std::uint64_t first_line = addr >> line_shift_;
   const std::uint64_t last_line = (addr + size - 1) >> line_shift_;
   for (std::uint64_t line = first_line; line <= last_line; ++line) {
+    const unsigned r = ProbeLine(line, is_write);
     ++result.lines_touched;
-    ++stats_.accesses;
-    std::uint32_t writebacks = 0;
-    if (ProbeLine(line, is_write, &writebacks)) {
-      ++stats_.hits;
-    } else {
-      ++result.misses;
-      ++stats_.misses;
-    }
-    result.writebacks += writebacks;
-    stats_.writebacks += writebacks;
+    result.misses += r & kMiss;
+    if ((r & kWriteback) != 0) ++result.writebacks;
   }
   return result;
 }
 
-bool CacheModel::ProbeLine(std::uint64_t line_addr, bool is_write,
-                           std::uint32_t* writebacks) {
-  const std::uint64_t set = line_addr & set_mask_;
-  const std::uint64_t tag = line_addr >> std::countr_zero(set_mask_ + 1);
-  Line* set_lines = &lines_[set * config_.associativity];
-
-  // Hit path.
-  for (std::uint32_t w = 0; w < config_.associativity; ++w) {
-    Line& line = set_lines[w];
-    if (line.valid && line.tag == tag) {
-      line.lru_stamp = next_stamp_++;
-      line.dirty = line.dirty || is_write;
-      return true;
-    }
-  }
-
-  // Miss. Non-allocating writes bypass the cache entirely.
-  if (is_write && !config_.write_allocate) return false;
-
-  // Choose victim: an invalid way if present, otherwise LRU.
-  Line* victim = &set_lines[0];
-  for (std::uint32_t w = 0; w < config_.associativity; ++w) {
-    Line& line = set_lines[w];
-    if (!line.valid) {
-      victim = &line;
-      break;
-    }
-    if (line.lru_stamp < victim->lru_stamp) victim = &line;
-  }
-  if (victim->valid && victim->dirty) ++*writebacks;
-  victim->valid = true;
-  victim->tag = tag;
-  victim->dirty = is_write;
-  victim->lru_stamp = next_stamp_++;
-  return false;
-}
-
 void CacheModel::Flush() {
-  for (Line& line : lines_) {
-    if (line.valid && line.dirty) ++stats_.writebacks;
-    line = Line{};
-  }
-  next_stamp_ = 1;
+  for (const std::uint64_t way : lines_) stats_.writebacks += way & 1;
+  std::fill(lines_.begin(), lines_.end(), kInvalid);
 }
 
 }  // namespace malisim::sim

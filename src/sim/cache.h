@@ -54,6 +54,15 @@ class CacheModel {
   /// are counted as misses that bypass the cache.
   CacheAccessResult Access(std::uint64_t addr, std::uint32_t size, bool is_write);
 
+  /// Outcome bits of ProbeLine.
+  static constexpr unsigned kMiss = 1;
+  static constexpr unsigned kWriteback = 2;  // the fill evicted a dirty line
+
+  /// Probes one line, given as a line index (byte address >> line shift),
+  /// and updates the statistics. Returns kMiss / kWriteback bits. Inline so
+  /// the memory hierarchy's replay loop keeps the whole probe in registers.
+  unsigned ProbeLine(std::uint64_t line, bool is_write);
+
   /// Invalidate everything (e.g. between benchmark repetitions); dirty lines
   /// are counted as writebacks.
   void Flush();
@@ -63,22 +72,48 @@ class CacheModel {
   void ResetStats() { stats_ = CacheStats{}; }
 
  private:
-  struct Line {
-    std::uint64_t tag = 0;
-    std::uint64_t lru_stamp = 0;
-    bool valid = false;
-    bool dirty = false;
-  };
-
-  /// Probe a single line address; returns true on hit.
-  bool ProbeLine(std::uint64_t line_addr, bool is_write, std::uint32_t* writebacks);
+  /// A way holds (tag << 1) | dirty. Each set is kept in recency order,
+  /// most recent first, so the LRU line — or an invalid way, which sorts
+  /// last — is always the final way. Simulated addresses stay below 2^63,
+  /// so no valid tag collides with kInvalid.
+  static constexpr std::uint64_t kInvalid = ~std::uint64_t{1};
 
   CacheConfig config_;
-  std::uint64_t set_mask_;
-  std::uint32_t line_shift_;
-  std::uint64_t next_stamp_ = 1;
-  std::vector<Line> lines_;  // sets * ways, row-major by set
+  std::uint32_t ways_ = 0;
+  std::uint64_t set_mask_ = 0;
+  std::uint32_t set_shift_ = 0;  // log2(sets): line index -> tag
+  std::uint32_t line_shift_ = 0;
+  std::vector<std::uint64_t> lines_;  // sets * ways, row-major by set
   CacheStats stats_;
 };
+
+inline unsigned CacheModel::ProbeLine(std::uint64_t line, bool is_write) {
+  ++stats_.accesses;
+  std::uint64_t* const set = &lines_[(line & set_mask_) * ways_];
+  const std::uint64_t key = (line >> set_shift_) << 1;
+  const std::uint64_t dirty = is_write ? 1 : 0;
+  for (std::uint32_t w = 0; w < ways_; ++w) {
+    const std::uint64_t way = set[w];
+    if ((way | 1) == (key | 1)) {
+      // Hit: move to the front (most recent), merging the dirty bit.
+      for (std::uint32_t k = w; k > 0; --k) set[k] = set[k - 1];
+      set[0] = way | dirty;
+      ++stats_.hits;
+      return 0;
+    }
+  }
+  ++stats_.misses;
+  // Non-allocating writes bypass the cache entirely.
+  if (is_write && !config_.write_allocate) return kMiss;
+  // Fill: the last way (an invalid one if any, else the LRU line) leaves.
+  unsigned out = kMiss;
+  if ((set[ways_ - 1] & 1) != 0) {
+    ++stats_.writebacks;
+    out |= kWriteback;
+  }
+  for (std::uint32_t k = ways_ - 1; k > 0; --k) set[k] = set[k - 1];
+  set[0] = key | dirty;
+  return out;
+}
 
 }  // namespace malisim::sim

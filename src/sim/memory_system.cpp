@@ -1,6 +1,7 @@
 #include "sim/memory_system.h"
 
 #include <algorithm>
+#include <bit>
 
 namespace malisim::sim {
 
@@ -19,71 +20,93 @@ MemoryHierarchy::MemoryHierarchy(const HierarchyConfig& config)
       l1s_.emplace_back(config_.l1);
     }
   }
+  // CacheModel checked that the line size is a power of two.
+  line_shift_ = static_cast<std::uint32_t>(std::countr_zero(config_.l2.line_bytes));
   fill_history_.assign(
       static_cast<std::size_t>(config_.num_cores) * kStreamHistory, kNoLine);
   fill_history_pos_.assign(config_.num_cores, 0);
+}
+
+inline void MemoryHierarchy::RecordFill(std::uint32_t core,
+                                        std::uint64_t line) {
+  ++fill_lines_;
+  std::uint64_t* history = &fill_history_[core * kStreamHistory];
+  for (int h = 0; h < kStreamHistory; ++h) {
+    if (history[h] != kNoLine && line == history[h] + 1) {
+      ++sequential_fills_;
+      history[h] = line;  // extend this stream's tracking slot
+      return;
+    }
+  }
+  // A new stream takes the slot after the last one started.
+  int& next = fill_history_pos_[core];
+  history[next] = line;
+  next = (next + 1) % kStreamHistory;
+}
+
+// Forced inline: Replay's per-event loop then keeps the miss counters and
+// probe outcomes in registers.
+[[gnu::always_inline]] inline void MemoryHierarchy::AccessLines(
+    CacheModel* l1, std::uint32_t core, std::uint64_t addr, std::uint32_t size,
+    bool is_write, std::uint64_t* l1_misses, std::uint64_t* l2_misses) {
+  const std::uint64_t last_line = (addr + size - 1) >> line_shift_;
+  for (std::uint64_t line = addr >> line_shift_; line <= last_line; ++line) {
+    if (l1 != nullptr) {
+      const unsigned r = l1->ProbeLine(line, is_write);
+      // L1 writebacks land in the L2 (write-back hierarchy); model them as
+      // L2 write probes without inflating the program's demand stream.
+      // They probe the incoming line's address, not the victim's (ROADMAP
+      // item 2).
+      if ((r & CacheModel::kWriteback) != 0 &&
+          (l2_.ProbeLine(line, true) & CacheModel::kWriteback) != 0) {
+        ++writeback_lines_;
+      }
+      if ((r & CacheModel::kMiss) == 0) continue;
+    }
+    ++*l1_misses;  // without an L1 every access reaches the L2
+    const unsigned r = l2_.ProbeLine(line, is_write);
+    if ((r & CacheModel::kWriteback) != 0) ++writeback_lines_;
+    if ((r & CacheModel::kMiss) != 0) {
+      ++*l2_misses;
+      RecordFill(core, line);
+    }
+  }
 }
 
 AccessOutcome MemoryHierarchy::Access(std::uint32_t core, std::uint64_t addr,
                                       std::uint32_t size, bool is_write) {
   MALI_CHECK(core < config_.num_cores);
   AccessOutcome outcome;
-
-  std::uint64_t first_line = addr / config_.l2.line_bytes;
-  std::uint64_t last_line = size == 0 ? first_line
-                                      : (addr + size - 1) / config_.l2.line_bytes;
-  outcome.lines_touched =
-      size == 0 ? 0 : static_cast<std::uint32_t>(last_line - first_line + 1);
   if (size == 0) return outcome;
-
-  const std::uint32_t line_bytes = config_.l2.line_bytes;
-  for (std::uint64_t line = first_line; line <= last_line; ++line) {
-    const std::uint64_t line_addr = line * line_bytes;
-    bool probe_l2 = true;
-    if (config_.has_l1) {
-      const CacheAccessResult r =
-          l1s_[core].Access(line_addr, line_bytes, is_write);
-      if (r.misses == 0) {
-        probe_l2 = false;
-      } else {
-        ++outcome.l1_misses;
-      }
-      // L1 writebacks land in the L2 (write-back hierarchy); model them as
-      // L2 write probes without inflating the program's demand stream.
-      for (std::uint32_t wb = 0; wb < r.writebacks; ++wb) {
-        const CacheAccessResult wb_r = l2_.Access(line_addr, line_bytes, true);
-        writeback_lines_ += wb_r.writebacks;
-      }
-    } else {
-      ++outcome.l1_misses;  // no L1: every access reaches L2
-    }
-
-    if (probe_l2) {
-      const CacheAccessResult r = l2_.Access(line_addr, line_bytes, is_write);
-      writeback_lines_ += r.writebacks;
-      if (r.misses > 0) {
-        ++outcome.l2_misses;
-        ++fill_lines_;
-        std::uint64_t* history = &fill_history_[core * kStreamHistory];
-        bool sequential = false;
-        int replace = fill_history_pos_[core];
-        for (int h = 0; h < kStreamHistory; ++h) {
-          if (history[h] != kNoLine && line == history[h] + 1) {
-            sequential = true;
-            replace = h;  // extend this stream's tracking slot
-            break;
-          }
-        }
-        if (sequential) {
-          ++sequential_fills_;
-        } else {
-          fill_history_pos_[core] = (replace + 1) % kStreamHistory;
-        }
-        history[replace] = line;
-      }
-    }
-  }
+  outcome.lines_touched = static_cast<std::uint32_t>(
+      ((addr + size - 1) >> line_shift_) - (addr >> line_shift_) + 1);
+  std::uint64_t l1_misses = 0;
+  std::uint64_t l2_misses = 0;
+  AccessLines(config_.has_l1 ? &l1s_[core] : nullptr, core, addr, size,
+              is_write, &l1_misses, &l2_misses);
+  outcome.l1_misses = static_cast<std::uint32_t>(l1_misses);
+  outcome.l2_misses = static_cast<std::uint32_t>(l2_misses);
   return outcome;
+}
+
+void MemoryHierarchy::Replay(std::uint32_t core,
+                             std::span<const kir::MemEvent> events,
+                             ReplayCounts* counts) {
+  MALI_CHECK(core < config_.num_cores);
+  CacheModel* const l1 = config_.has_l1 ? &l1s_[core] : nullptr;
+  std::uint64_t l1_misses = 0;
+  std::uint64_t l2_misses = 0;
+  for (const kir::MemEvent& e : events) {
+    if (e.bytes == 0) continue;
+    bool is_write = e.kind == kir::MemEvent::kWrite;
+    if (e.kind == kir::MemEvent::kAtomic) {
+      AccessLines(l1, core, e.addr, e.bytes, false, &l1_misses, &l2_misses);
+      is_write = true;
+    }
+    AccessLines(l1, core, e.addr, e.bytes, is_write, &l1_misses, &l2_misses);
+  }
+  counts->l1_misses += l1_misses;
+  counts->l2_misses += l2_misses;
 }
 
 double MemoryHierarchy::sequential_fraction() const {

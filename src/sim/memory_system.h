@@ -8,9 +8,10 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
+#include <span>
 #include <vector>
 
+#include "kir/exec_types.h"
 #include "sim/cache.h"
 #include "sim/dram.h"
 
@@ -30,6 +31,12 @@ struct AccessOutcome {
   std::uint32_t l2_misses = 0;
 };
 
+/// Demand misses accumulated by MemoryHierarchy::Replay.
+struct ReplayCounts {
+  std::uint64_t l1_misses = 0;
+  std::uint64_t l2_misses = 0;
+};
+
 class MemoryHierarchy {
  public:
   explicit MemoryHierarchy(const HierarchyConfig& config);
@@ -38,6 +45,14 @@ class MemoryHierarchy {
   /// L2. Only L1 misses probe the L2, mirroring an inclusive hierarchy.
   AccessOutcome Access(std::uint32_t core, std::uint64_t addr,
                        std::uint32_t size, bool is_write);
+
+  /// Runs a recorded access stream from core `core` through the hierarchy,
+  /// in order, exactly as one Access() per event would — an atomic is a
+  /// read then a write of its bytes — and adds the demand misses to
+  /// `counts`. This is the device models' hot path: the line probes are
+  /// inlined and the core is checked once per call, not per event.
+  void Replay(std::uint32_t core, std::span<const kir::MemEvent> events,
+              ReplayCounts* counts);
 
   /// Lines fetched from DRAM (L2 read misses) since the last reset.
   std::uint64_t dram_fill_lines() const { return fill_lines_; }
@@ -60,7 +75,16 @@ class MemoryHierarchy {
   void ResetStats();
 
  private:
+  /// The body Access and Replay share: every line of [addr, addr+size)
+  /// (size > 0) through `l1` (null without L1s) and the L2.
+  void AccessLines(CacheModel* l1, std::uint32_t core, std::uint64_t addr,
+                   std::uint32_t size, bool is_write, std::uint64_t* l1_misses,
+                   std::uint64_t* l2_misses);
+  /// Counts one DRAM fill of `line` and classifies it as sequential or not.
+  void RecordFill(std::uint32_t core, std::uint64_t line);
+
   HierarchyConfig config_;
+  std::uint32_t line_shift_ = 0;
   std::vector<CacheModel> l1s_;
   CacheModel l2_;
 

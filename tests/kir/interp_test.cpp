@@ -3,6 +3,7 @@
 #include "kir/interp.h"
 
 #include <cstring>
+#include <span>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -332,18 +333,6 @@ TEST(InterpTest, ImbalanceFactorGrowsWithSkewedWork) {
 }
 
 TEST(InterpTest, MemorySinkSeesAddresses) {
-  class Recorder final : public MemorySink {
-   public:
-    void OnAccess(std::uint64_t addr, std::uint32_t bytes, bool is_write) override {
-      if (is_write) {
-        writes.push_back({addr, bytes});
-      } else {
-        reads.push_back({addr, bytes});
-      }
-    }
-    std::vector<std::pair<std::uint64_t, std::uint32_t>> reads, writes;
-  };
-
   KernelBuilder kb("addr");
   auto in = kb.ArgBuffer("in", ScalarType::kF32, ArgKind::kBufferRO);
   auto out = kb.ArgBuffer("out", ScalarType::kF32, ArgKind::kBufferWO);
@@ -355,15 +344,24 @@ TEST(InterpTest, MemorySinkSeesAddresses) {
   Bindings b = BindBuffers({{src.data(), 32}, {dst.data(), 32}});
   const std::uint64_t in_addr = b.buffers[0].sim_addr;
   const std::uint64_t out_addr = b.buffers[1].sim_addr;
-  auto executor = Executor::Create(&p, LaunchConfig{}, std::move(b));
-  ASSERT_TRUE(executor.ok());
-  Recorder sink;
-  WorkGroupRun run;
-  ASSERT_TRUE(executor->RunGroup({0, 0, 0}, &sink, &run).ok());
-  ASSERT_EQ(sink.reads.size(), 1u);
-  ASSERT_EQ(sink.writes.size(), 1u);
-  EXPECT_EQ(sink.reads[0].first, in_addr + 4);  // offset 1 element
-  EXPECT_EQ(sink.writes[0].first, out_addr);
+  for (const KirExec engine : {KirExec::kBytecode, KirExec::kInterp}) {
+    auto executor = Executor::Create(&p, LaunchConfig{}, b, engine);
+    ASSERT_TRUE(executor.ok());
+    std::vector<MemEvent> events;
+    MemRecorder recorder([&](std::span<const MemEvent> chunk) {
+      events.insert(events.end(), chunk.begin(), chunk.end());
+    });
+    WorkGroupRun run;
+    ASSERT_TRUE(executor->RunGroup({0, 0, 0}, &recorder, &run).ok());
+    EXPECT_TRUE(events.empty()) << "nothing reaches the consumer before a flush";
+    recorder.Flush();
+    ASSERT_EQ(events.size(), 2u);
+    EXPECT_EQ(events[0].kind, MemEvent::kRead);
+    EXPECT_EQ(events[0].addr, in_addr + 4);  // offset 1 element
+    EXPECT_EQ(events[0].bytes, 4u);
+    EXPECT_EQ(events[1].kind, MemEvent::kWrite);
+    EXPECT_EQ(events[1].addr, out_addr);
+  }
 }
 
 }  // namespace

@@ -8,6 +8,7 @@
 #include <array>
 #include <cstdint>
 #include <cstring>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -225,10 +226,14 @@ TEST_P(VmDiffFuzzTest, OpcodeTalliesAndMemoryStreamsMatch) {
         Executor::Create(&p, config, std::move(b), engines[e]);
     ASSERT_TRUE(executor.ok()) << executor.status().ToString();
     executor->set_opcode_tally(tallies[static_cast<std::size_t>(e)].data());
-    RecordingMemorySink sink(&events[static_cast<std::size_t>(e)]);
+    std::vector<MemEvent>& stream = events[static_cast<std::size_t>(e)];
+    MemRecorder recorder([&](std::span<const MemEvent> chunk) {
+      stream.insert(stream.end(), chunk.begin(), chunk.end());
+    });
     ASSERT_TRUE(
-        executor->RunAllGroups(&sink, &runs[static_cast<std::size_t>(e)])
+        executor->RunAllGroups(&recorder, &runs[static_cast<std::size_t>(e)])
             .ok());
+    recorder.Flush();
   }
   EXPECT_EQ(outs[0].f, outs[1].f);
   EXPECT_EQ(outs[0].h, outs[1].h);
@@ -273,8 +278,7 @@ FaultOut ExecuteFault(const Program& p, KirExec engine,
   EXPECT_TRUE(executor.ok()) << executor.status().ToString();
   if (!executor.ok()) return out;
   executor->set_opcode_tally(out.tally.data());
-  NullMemorySink sink;
-  out.status = executor->RunAllGroups(&sink, &out.run);
+  out.status = executor->RunAllGroups(nullptr, &out.run);
   return out;
 }
 

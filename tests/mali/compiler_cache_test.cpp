@@ -1,9 +1,13 @@
 // The content-addressed compile cache behind ocl::Program::Build and the
-// serve engine: key sensitivity, hit/miss accounting, first-writer-wins
-// publication, and — the property the serve replay contract rests on —
-// fault schedules that are bit-identical on a cache hit and a cache miss.
+// serve engine: key sensitivity, hit/miss accounting, single-flight
+// compiles under concurrent misses, and — the property the serve replay
+// contract rests on — fault schedules that are bit-identical on a cache
+// hit and a cache miss.
 #include "mali/compiler_cache.h"
 
+#include <atomic>
+#include <chrono>
+#include <functional>
 #include <thread>
 #include <vector>
 
@@ -49,55 +53,97 @@ TEST(CompileCacheTest, KeyIsContentAddressed) {
   EXPECT_NE(CompileCache::Key(a, timing), CompileCache::Key(a, sched));
 }
 
-TEST(CompileCacheTest, LookupInsertAndStats) {
+/// The pure compile the cache memoizes, counting its invocations.
+std::function<StatusOr<CompileCache::Entry>()> CountedCompile(
+    const kir::Program& p, const MaliTimingParams& timing,
+    std::atomic<int>* calls) {
+  return [&p, timing, calls]() -> StatusOr<CompileCache::Entry> {
+    calls->fetch_add(1);
+    StatusOr<CompiledKernel> analyzed = AnalyzeForMali(p, timing);
+    if (!analyzed.ok()) return analyzed.status();
+    CompileCache::Entry entry;
+    entry.transformed = p;
+    entry.analyzed = *analyzed;
+    entry.analyzed.program = nullptr;
+    return entry;
+  };
+}
+
+TEST(CompileCacheTest, GetOrCompileCountsHitsAndMisses) {
   CompileCache cache;
   const MaliTimingParams timing;
   const kir::Program p = MakeKernel("k", 2);
   const std::uint64_t key = CompileCache::Key(p, timing);
+  std::atomic<int> calls{0};
+  const auto compile = CountedCompile(p, timing, &calls);
 
-  EXPECT_EQ(cache.Lookup(key), nullptr);
-  EXPECT_EQ(cache.stats().misses, 1u);
-
-  CompileCache::Entry entry;
-  entry.transformed = p;
-  StatusOr<CompiledKernel> analyzed = AnalyzeForMali(p, timing);
-  ASSERT_TRUE(analyzed.ok());
-  entry.analyzed = *analyzed;
-  entry.analyzed.program = nullptr;
-  cache.Insert(key, entry);
+  const auto first = cache.GetOrCompile(key, compile);
+  ASSERT_TRUE(first.ok());
   EXPECT_EQ(cache.size(), 1u);
+  EXPECT_EQ(cache.stats().misses, 1u);
+  EXPECT_EQ(cache.stats().hits, 0u);
 
-  const auto hit = cache.Lookup(key);
-  ASSERT_NE(hit, nullptr);
-  EXPECT_EQ(hit->analyzed.live_reg_bytes, analyzed->live_reg_bytes);
+  const auto hit = cache.GetOrCompile(key, compile);
+  ASSERT_TRUE(hit.ok());
+  EXPECT_EQ(*hit, *first);  // the published entry, not a recompile
+  EXPECT_EQ(calls.load(), 1);
   EXPECT_EQ(cache.stats().hits, 1u);
   EXPECT_EQ(cache.stats().misses, 1u);
 }
 
-TEST(CompileCacheTest, ConcurrentInsertFirstWriterWins) {
+TEST(CompileCacheTest, FailedCompileIsReturnedAndNotCached) {
+  CompileCache cache;
+  int calls = 0;
+  const auto failing = [&]() -> StatusOr<CompileCache::Entry> {
+    ++calls;
+    return InternalError("analysis failed");
+  };
+  for (int i = 0; i < 2; ++i) {
+    const auto entry = cache.GetOrCompile(7, failing);
+    ASSERT_FALSE(entry.ok());
+    EXPECT_EQ(entry.status().message(), "analysis failed");
+  }
+  EXPECT_EQ(calls, 2);
+  EXPECT_EQ(cache.size(), 0u);
+  EXPECT_EQ(cache.stats().misses, 2u);
+}
+
+// Single flight: N threads missing on one key at once compile it once,
+// all receive the one published entry, and the split is 1 miss + N-1 hits
+// however the threads interleave.
+TEST(CompileCacheTest, ConcurrentMissesOnOneKeyCompileOnce) {
+  constexpr int kThreads = 8;
   CompileCache cache;
   const MaliTimingParams timing;
   const kir::Program p = MakeKernel("k", 2);
   const std::uint64_t key = CompileCache::Key(p, timing);
-  StatusOr<CompiledKernel> analyzed = AnalyzeForMali(p, timing);
-  ASSERT_TRUE(analyzed.ok());
+  std::atomic<int> calls{0};
+  const auto counted = CountedCompile(p, timing, &calls);
+  // A slow compile keeps the flight open while the other racers arrive.
+  const auto compile = [&]() {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    return counted();
+  };
 
-  std::vector<std::thread> writers;
-  std::vector<std::shared_ptr<const CompileCache::Entry>> published(8);
-  for (int i = 0; i < 8; ++i) {
-    writers.emplace_back([&, i] {
-      CompileCache::Entry entry;
-      entry.transformed = p;
-      entry.analyzed = *analyzed;
-      entry.analyzed.program = nullptr;
-      published[static_cast<std::size_t>(i)] = cache.Insert(key, entry);
+  std::atomic<int> ready{0};
+  std::vector<std::thread> racers;
+  std::vector<std::shared_ptr<const CompileCache::Entry>> got(kThreads);
+  for (int i = 0; i < kThreads; ++i) {
+    racers.emplace_back([&, i] {
+      ready.fetch_add(1);
+      while (ready.load() < kThreads) std::this_thread::yield();
+      const auto entry = cache.GetOrCompile(key, compile);
+      ASSERT_TRUE(entry.ok());
+      got[static_cast<std::size_t>(i)] = *entry;
     });
   }
-  for (std::thread& t : writers) t.join();
+  for (std::thread& t : racers) t.join();
+  EXPECT_EQ(calls.load(), 1);
   EXPECT_EQ(cache.size(), 1u);
-  // Every racer got handed the same published entry.
-  for (int i = 1; i < 8; ++i) {
-    EXPECT_EQ(published[static_cast<std::size_t>(i)], published[0]);
+  EXPECT_EQ(cache.stats().misses, 1u);
+  EXPECT_EQ(cache.stats().hits, static_cast<std::uint64_t>(kThreads - 1));
+  for (int i = 1; i < kThreads; ++i) {
+    EXPECT_EQ(got[static_cast<std::size_t>(i)], got[0]);
   }
 }
 

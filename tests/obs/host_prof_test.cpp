@@ -1,14 +1,17 @@
 // HostProf contract tests: phase-span self/total accounting, null-safety,
 // interpreter host-time attribution through a real harness run, the
 // >= 90 % attributed-wall-time acceptance criterion, the <= 3 % sampling
-// overhead contract, and the hotspots / collapsed-stack render formats.
+// overhead contract, the mem/replay split of VM from cache/DRAM time, and
+// the hotspots / collapsed-stack render formats.
 #include <chrono>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "harness/experiment.h"
+#include "hpc/benchmark.h"
 #include "obs/host_prof.h"
 #include "obs/obs_options.h"
 #include "obs/recorder.h"
@@ -151,6 +154,56 @@ TEST(HostProfTest, ExactModeSamplesEveryStep) {
   // Period 1: every attributed step took its own clock sample (the extra
   // samples are the per-launch priming ticks).
   EXPECT_GE(s.interp_samples, s.interp_steps);
+}
+
+/// Runs every benchmark once at quick sizes; returns the results.
+std::vector<harness::BenchmarkResults> QuickSweep(Recorder* recorder) {
+  harness::ExperimentConfig config;
+  config.sizes = hpc::ProblemSizes::Quick();
+  config.repetitions = 1;
+  config.recorder = recorder;
+  harness::ExperimentRunner runner(config);
+  std::vector<harness::BenchmarkResults> results;
+  for (const std::string& name : hpc::RegisteredBenchmarks()) {
+    auto r = runner.RunBenchmark(name);
+    EXPECT_TRUE(r.ok()) << name << ": " << r.status().ToString();
+    if (r.ok()) results.push_back(*std::move(r));
+  }
+  return results;
+}
+
+TEST(HostProfTest, MemReplaySplitsCacheTimeOutOfVmExec) {
+  ObsOptions options;
+  options.host_prof = true;
+  Recorder profiled(options);
+  const std::vector<harness::BenchmarkResults> with_prof =
+      QuickSweep(&profiled);
+  const HostProf::Snapshot s = profiled.host_prof()->TakeSnapshot();
+  const HostProf::PhaseStat& replay = s.phases[PhaseIdx(HostPhase::kMemReplay)];
+  const HostProf::PhaseStat& vm = s.phases[PhaseIdx(HostPhase::kVmExec)];
+  EXPECT_EQ(replay.name, "mem/replay");
+  EXPECT_GT(replay.count, 0u);
+  EXPECT_GT(replay.total_ns, 0u);
+  EXPECT_EQ(replay.self_ns, replay.total_ns);  // a leaf phase
+  // Every replay span nests in a vm/exec span on the serial engine, so
+  // vm/exec's self time is exactly its total minus the replay time.
+  EXPECT_EQ(vm.self_ns + replay.total_ns, vm.total_ns);
+
+  // Inert with profiling off: no profiler, and not one modelled number
+  // moves.
+  Recorder plain;
+  ASSERT_EQ(plain.host_prof(), nullptr);
+  const std::vector<harness::BenchmarkResults> without_prof =
+      QuickSweep(&plain);
+  ASSERT_EQ(with_prof.size(), without_prof.size());
+  for (std::size_t b = 0; b < with_prof.size(); ++b) {
+    for (const hpc::Variant v : hpc::kAllVariants) {
+      EXPECT_EQ(with_prof[b].Get(v).seconds, without_prof[b].Get(v).seconds)
+          << with_prof[b].name;
+      EXPECT_EQ(with_prof[b].Get(v).energy_j, without_prof[b].Get(v).energy_j)
+          << with_prof[b].name;
+    }
+  }
 }
 
 TEST(HostProfTest, HotspotsTableAndCollapsedFormats) {

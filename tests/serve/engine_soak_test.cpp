@@ -128,6 +128,25 @@ TEST(ServeEngineSoakTest, TinyQueueShedsWithTypedOverloadAndLosesNothing) {
   }
 }
 
+TEST(ServeEngineSoakTest, ShedJobsDoNotRaiseTheRate) {
+  ServeOptions options = SoakOptions();
+  options.workers_per_shard = 1;
+  options.shards = 1;
+  options.queue_depth = 2;
+  options.fault.rate = 0.0;
+  ServeEngine engine(options);
+  for (const JobSpec& job : GenerateLoad(40, 5)) (void)engine.Submit(job);
+  const ServeReport report = engine.Drain();
+  ASSERT_GT(report.count(JobState::kShed), 0u)
+      << "a 2-deep queue must shed a 40-job burst";
+  ASSERT_GT(report.host_elapsed_sec, 0.0);
+  const std::uint64_t completed =
+      report.count(JobState::kOk) + report.count(JobState::kDegraded);
+  EXPECT_LT(completed, report.results.size());
+  EXPECT_DOUBLE_EQ(report.jobs_per_host_sec,
+                   static_cast<double>(completed) / report.host_elapsed_sec);
+}
+
 TEST(ServeEngineSoakTest, MidSoakShutdownDrainsCleanly) {
   ServeOptions options = SoakOptions();
   options.queue_depth = 4096;
