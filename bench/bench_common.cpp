@@ -50,17 +50,6 @@ BenchOptions ParseOptions(int argc, char** argv) {
       options.threads =
           static_cast<int>(std::strtol(arg.c_str() + 10, nullptr, 10));
       if (options.threads < 0) options.threads = 0;  // 0 = all host cores
-    } else if (arg.rfind("--kir-exec=", 0) == 0) {
-      const std::string engine = arg.substr(11);
-      if (engine == "interp") {
-        options.kir_exec = KirExec::kInterp;
-      } else if (engine == "bytecode") {
-        options.kir_exec = KirExec::kBytecode;
-      } else {
-        std::fprintf(stderr, "unknown --kir-exec '%s' (interp|bytecode)\n",
-                     engine.c_str());
-        std::exit(2);
-      }
     } else if (arg.rfind("--fault-seed=", 0) == 0) {
       options.fault.seed = std::strtoull(arg.c_str() + 13, nullptr, 10);
     } else if (arg.rfind("--fault-rate=", 0) == 0) {
@@ -90,6 +79,9 @@ BenchOptions ParseOptions(int argc, char** argv) {
       }
     } else if (arg == "--quick") {
       options.sizes = hpc::ProblemSizes::Quick();
+    } else {
+      std::fprintf(stderr, "unknown flag '%s'\n", arg.c_str());
+      std::exit(2);
     }
   }
   return options;
@@ -102,7 +94,6 @@ StatusOr<std::vector<harness::BenchmarkResults>> RunSweep(
   config.fp64 = fp64;
   config.seed = options.seed;
   config.sim_threads = options.threads;
-  config.kir_exec = options.kir_exec;
   config.device = options.device;
   config.hetero_ratio = options.hetero_ratio;
   config.fault = options.fault;
@@ -372,12 +363,6 @@ Status WriteBenchJson(const BenchOptions& options,
                               std::string(sim::BackendName(options.device)));
     meta.options.emplace_back("hetero_ratio",
                               FormatDouble(options.hetero_ratio, 6));
-  }
-  // Same non-default-only rule for the engine: both engines produce
-  // byte-identical records, but the key only appears when --kir-exec was
-  // explicitly set off the default.
-  if (options.kir_exec != KirExec::kBytecode) {
-    meta.options.emplace_back("kir_exec", "interp");
   }
 
   std::vector<obs::BenchCell> cells;

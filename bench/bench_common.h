@@ -24,9 +24,6 @@ struct BenchOptions {
   /// Host threads for the simulation engine (results are identical for any
   /// value; see ExperimentConfig::sim_threads).
   int threads = 1;
-  /// KIR execution engine (--kir-exec=interp|bytecode). Results are
-  /// identical for either engine; bytecode is the fast default.
-  KirExec kir_exec = KirExec::kBytecode;
   hpc::ProblemSizes sizes;
   /// When non-empty, a Chrome trace of the runs is written here.
   std::string trace_path;
@@ -56,9 +53,7 @@ struct BenchOptions {
 };
 
 /// Parses --fp32 / --fp64 (run only that precision), --csv, --seed=N,
-/// --threads=N (host threads for the simulation engine),
-/// --kir-exec=interp|bytecode (KIR execution engine; exits with status 2
-/// on an unknown name), --quick (shrunken
+/// --threads=N (host threads for the simulation engine), --quick (shrunken
 /// problem sizes for CI smoke runs), --trace=PATH (Chrome trace of the
 /// runs), --bench-json=PATH (machine-comparable BENCH record of the run),
 /// --device=mali|a15|hetero (backend for the OpenCL variants; exits with
@@ -71,7 +66,8 @@ struct BenchOptions {
 /// status 2 on an unknown objective), --tune-cache=PATH (persistent
 /// tuning-winner cache), and --log-level=debug|info|warn|error|off
 /// (overrides MALISIM_LOG_LEVEL; exits with status 2 on an unknown
-/// level).
+/// level). Any other argument exits with status 2 and an "unknown flag"
+/// message, so a typo never quietly runs the defaults.
 BenchOptions ParseOptions(int argc, char** argv);
 
 /// One completed precision sweep plus the recorder that observed it (the

@@ -53,14 +53,6 @@ struct FaultOptions {
   }
 };
 
-/// Which KIR execution engine the device models drive (--kir-exec=).
-/// Both engines execute work-items in the same program order and emit the
-/// same memory-access streams, opcode tallies and operation histograms, so
-/// every modelled number is bit-identical between them (pinned by the
-/// `ctest -L kirvm` differential suite). kBytecode is the compile-once
-/// register VM (DESIGN.md §16); kInterp is the reference tree-walk.
-enum class KirExec : std::uint8_t { kBytecode = 0, kInterp };
-
 struct SimOptions {
   /// Host worker threads for parallel simulation. 1 = recorded access
   /// chunks replay into the caches as they fill; >1 = work-groups execute
@@ -75,10 +67,6 @@ struct SimOptions {
 
   /// Fault-injection and resilience configuration (see FaultOptions).
   FaultOptions fault;
-
-  /// KIR execution engine (see KirExec above). Engine choice never changes
-  /// modelled numbers, only host-side speed.
-  KirExec kir_exec = KirExec::kBytecode;
 
   /// Resolved worker count (applies the `threads == 0` rule).
   int ResolvedThreads() const;

@@ -130,7 +130,6 @@ StatusOr<CpuRunResult> CortexA15Device::Run(const kir::Program& program,
   // microseconds against milliseconds of execution.
   sim::GroupLaunch launch;
   launch.program = &program;
-  launch.engine = options_.kir_exec;
   launch.config = &config;
   launch.bindings = &bindings;
   launch.hierarchy = &hierarchy_;

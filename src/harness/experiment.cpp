@@ -115,7 +115,6 @@ StatusOr<BenchmarkResults> ExperimentRunner::RunBenchmarkImpl(
   SimOptions sim_options;
   sim_options.threads = std::max(1, device_threads);
   sim_options.fault = config_.fault;
-  sim_options.kir_exec = config_.kir_exec;
   cpu_device.set_sim_options(sim_options);
   gpu_context.set_sim_options(sim_options);
   if (config_.recorder != nullptr) {

@@ -51,9 +51,6 @@ struct ExperimentConfig {
   /// RNG is keyed per (benchmark, variant) and the devices use
   /// deterministic record/replay.
   int sim_threads = 1;
-  /// KIR execution engine handed to the device models (--kir-exec=).
-  /// Engine choice never changes modelled numbers, only host-side speed.
-  KirExec kir_exec = KirExec::kBytecode;
   power::PowerParams power;
   power::PowerMeterParams meter;
   /// Optional observability recorder. When attached it is wired into the

@@ -1,9 +1,8 @@
-// The engine-selecting kir::Executor facade and the RunProgram helpers.
-//
-// Out of line (and out of interp.cpp) because this is the only translation
-// unit in the library that needs both engines: the facade header only
-// forward-declares the bytecode types.
+// The parts of KIR execution that live outside the VM's dispatch loop:
+// launch validation, the host-time sampler's cold path, basic blocks, and
+// the RunProgram helpers (interp.h).
 #include <algorithm>
+#include <chrono>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -13,97 +12,132 @@
 #include "kir/vm/vm.h"
 
 namespace malisim::kir {
-namespace {
 
-/// Bridges the interpreter's virtual sink to a recorder (null = drop).
-class RecorderSink final : public MemorySink {
- public:
-  explicit RecorderSink(MemRecorder* recorder) : recorder_(recorder) {}
+Status ValidateLaunch(const Program& program, const LaunchConfig& config,
+                      const Bindings& bindings) {
+  if (!program.finalized()) {
+    return FailedPreconditionError("program not finalized: " + program.name);
+  }
+  if (!config.IsValid()) {
+    return InvalidArgumentError(
+        "invalid NDRange: global size must be a positive multiple of local "
+        "size in every used dimension");
+  }
 
-  void OnAccess(std::uint64_t addr, std::uint32_t bytes,
-                bool is_write) override {
-    if (recorder_ != nullptr) {
-      recorder_->Record(addr, bytes,
-                        is_write ? MemEvent::kWrite : MemEvent::kRead);
+  // Check bindings against declarations.
+  std::uint32_t want_buffers = 0;
+  std::uint32_t want_scalars = 0;
+  for (const ArgDecl& arg : program.args) {
+    if (arg.kind == ArgKind::kScalar) {
+      ++want_scalars;
+    } else {
+      ++want_buffers;
     }
   }
-  void OnAtomic(std::uint64_t addr, std::uint32_t bytes) override {
-    if (recorder_ != nullptr) recorder_->Record(addr, bytes, MemEvent::kAtomic);
+  if (bindings.buffers.size() != want_buffers) {
+    return InvalidArgumentError(
+        "kernel '" + program.name + "' expects " +
+        std::to_string(want_buffers) + " buffer args, got " +
+        std::to_string(bindings.buffers.size()));
   }
-
- private:
-  MemRecorder* recorder_;
-};
-
-}  // namespace
-
-Executor::Executor() = default;
-Executor::Executor(Executor&&) noexcept = default;
-Executor& Executor::operator=(Executor&&) noexcept = default;
-Executor::~Executor() = default;
-
-StatusOr<Executor> Executor::Create(
-    const Program* program, LaunchConfig config, Bindings bindings,
-    KirExec engine, std::shared_ptr<const vm::CompiledProgram> bytecode) {
-  MALI_CHECK(program != nullptr);
-  Executor e;
-  if (engine == KirExec::kInterp) {
-    StatusOr<InterpExecutor> interp =
-        InterpExecutor::Create(program, config, std::move(bindings));
-    if (!interp.ok()) return interp.status();
-    e.interp_ = std::make_unique<InterpExecutor>(*std::move(interp));
-    return StatusOr<Executor>(std::move(e));
+  if (bindings.scalars.size() != want_scalars) {
+    return InvalidArgumentError(
+        "kernel '" + program.name + "' expects " +
+        std::to_string(want_scalars) + " scalar args, got " +
+        std::to_string(bindings.scalars.size()));
   }
-  if (bytecode == nullptr) {
-    StatusOr<std::shared_ptr<const vm::CompiledProgram>> compiled =
-        vm::CompileProgram(*program);
-    if (!compiled.ok()) return compiled.status();
-    bytecode = *std::move(compiled);
+  for (std::size_t i = 0; i < bindings.buffers.size(); ++i) {
+    if (bindings.buffers[i].host == nullptr) {
+      return InvalidArgumentError("buffer arg " + std::to_string(i) +
+                                  " is unbound");
+    }
   }
-  StatusOr<vm::VmExecutor> bvm = vm::VmExecutor::Create(
-      program, std::move(bytecode), config, std::move(bindings));
-  if (!bvm.ok()) return bvm.status();
-  e.bytecode_ = std::make_unique<vm::VmExecutor>(*std::move(bvm));
-  return StatusOr<Executor>(std::move(e));
+  std::uint64_t local_bytes = 0;
+  for (const LocalArrayDecl& local : program.locals) {
+    local_bytes += static_cast<std::uint64_t>(local.elems) * ScalarBytes(local.elem);
+  }
+  if (local_bytes > 0 && (bindings.local_scratch.host == nullptr ||
+                          bindings.local_scratch.size_bytes < local_bytes)) {
+    return InvalidArgumentError("local scratch too small for kernel '" +
+                                program.name + "'");
+  }
+  // Scalar types must match.
+  std::size_t scalar_idx = 0;
+  for (const ArgDecl& arg : program.args) {
+    if (arg.kind != ArgKind::kScalar) continue;
+    if (bindings.scalars[scalar_idx].type != arg.elem) {
+      return InvalidArgumentError("scalar arg '" + arg.name + "' type mismatch");
+    }
+    ++scalar_idx;
+  }
+  return Status::Ok();
 }
 
-Status Executor::RunGroup(const std::array<std::uint64_t, 3>& group_id,
-                          MemRecorder* recorder, WorkGroupRun* out) {
-  if (interp_ == nullptr) return bytecode_->RunGroup(group_id, recorder, out);
-  RecorderSink sink(recorder);
-  return interp_->RunGroup(group_id, &sink, out);
-}
-
-Status Executor::RunAllGroups(MemRecorder* recorder, WorkGroupRun* out) {
-  if (interp_ == nullptr) return bytecode_->RunAllGroups(recorder, out);
-  RecorderSink sink(recorder);
-  return interp_->RunAllGroups(&sink, out);
-}
-
-const LaunchConfig& Executor::config() const {
-  return interp_ != nullptr ? interp_->config() : bytecode_->config();
-}
-
-void Executor::set_opcode_tally(std::uint64_t* tally) {
-  if (interp_ != nullptr) {
-    interp_->set_opcode_tally(tally);
-  } else {
-    bytecode_->set_opcode_tally(tally);
+void HostTimeSinkTick(HostTimeSink* s, const Program& program,
+                      std::uint32_t pc) {
+  s->countdown = s->period == 0 ? 1 : s->period;
+  const std::uint64_t now = static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          std::chrono::steady_clock::now().time_since_epoch())
+          .count());
+  ++s->samples;
+  if (s->last_pc >= 0) {
+    // The window [last tick, now] is attributed to the instruction that
+    // was live at the previous tick — standard sampling estimator, exact
+    // when period == 1 (every step both opens and closes its own window).
+    const std::uint64_t delta = now - s->last_ns;
+    if (s->op_ns != nullptr) {
+      const Opcode op = program.code[static_cast<std::size_t>(s->last_pc)].op;
+      s->op_ns[static_cast<std::size_t>(op)] += delta;
+    }
+    if (s->block_ns != nullptr && s->block_of_pc != nullptr) {
+      s->block_ns[s->block_of_pc[static_cast<std::size_t>(s->last_pc)]] +=
+          delta;
+    }
+    s->steps += s->countdown;
   }
+  s->last_pc = static_cast<std::int32_t>(pc);
+  s->last_ns = now;
 }
 
-void Executor::set_host_time(HostTimeSink* sink) {
-  if (interp_ != nullptr) {
-    interp_->set_host_time(sink);
-  } else {
-    bytecode_->set_host_time(sink);
+std::vector<BlockSpan> BasicBlocks(const Program& program) {
+  const auto is_control = [](Opcode op) {
+    switch (op) {
+      case Opcode::kBarrier:
+      case Opcode::kLoopBegin:
+      case Opcode::kLoopEnd:
+      case Opcode::kIfBegin:
+      case Opcode::kElse:
+      case Opcode::kIfEnd:
+        return true;
+      default:
+        return false;
+    }
+  };
+  std::vector<BlockSpan> blocks;
+  const std::uint32_t n = static_cast<std::uint32_t>(program.code.size());
+  std::uint32_t i = 0;
+  while (i < n) {
+    if (is_control(program.code[i].op)) {
+      blocks.push_back({i, i + 1});
+      ++i;
+      continue;
+    }
+    std::uint32_t end = i + 1;
+    while (end < n && !is_control(program.code[end].op)) ++end;
+    blocks.push_back({i, end});
+    i = end;
   }
+  return blocks;
 }
 
 StatusOr<WorkGroupRun> RunProgram(const Program& program, LaunchConfig config,
-                                  Bindings bindings, KirExec engine) {
-  StatusOr<Executor> executor =
-      Executor::Create(&program, config, std::move(bindings), engine);
+                                  Bindings bindings) {
+  StatusOr<std::shared_ptr<const vm::CompiledProgram>> compiled =
+      vm::CompileProgram(program);
+  if (!compiled.ok()) return compiled.status();
+  StatusOr<vm::VmExecutor> executor = vm::VmExecutor::Create(
+      &program, *std::move(compiled), config, std::move(bindings));
   if (!executor.ok()) return executor.status();
   WorkGroupRun run;
   MALI_RETURN_IF_ERROR(executor->RunAllGroups(nullptr, &run));
@@ -113,18 +147,16 @@ StatusOr<WorkGroupRun> RunProgram(const Program& program, LaunchConfig config,
 StatusOr<WorkGroupRun> RunProgramParallel(const Program& program,
                                           LaunchConfig config,
                                           const Bindings& bindings,
-                                          int threads, KirExec engine) {
+                                          int threads) {
   if (threads < 1) return InvalidArgumentError("threads must be >= 1");
   // Validate once up front so misuse fails identically to RunProgram, and
   // compile the bytecode once so every chunk shares it.
   MALI_RETURN_IF_ERROR(ValidateLaunch(program, config, bindings));
-  std::shared_ptr<const vm::CompiledProgram> bytecode;
-  if (engine == KirExec::kBytecode) {
-    StatusOr<std::shared_ptr<const vm::CompiledProgram>> compiled =
-        vm::CompileProgram(program);
-    if (!compiled.ok()) return compiled.status();
-    bytecode = *std::move(compiled);
-  }
+  StatusOr<std::shared_ptr<const vm::CompiledProgram>> compiled =
+      vm::CompileProgram(program);
+  if (!compiled.ok()) return compiled.status();
+  const std::shared_ptr<const vm::CompiledProgram> bytecode =
+      *std::move(compiled);
 
   const auto group_dims = config.num_groups();
   const std::uint64_t total_groups = config.total_groups();
@@ -147,8 +179,8 @@ StatusOr<WorkGroupRun> RunProgramParallel(const Program& program,
                               std::byte{0});
       chunk_bindings.local_scratch.host = chunk_scratch[i].data();
     }
-    StatusOr<Executor> executor = Executor::Create(
-        &program, config, std::move(chunk_bindings), engine, bytecode);
+    StatusOr<vm::VmExecutor> executor = vm::VmExecutor::Create(
+        &program, bytecode, config, std::move(chunk_bindings));
     if (!executor.ok()) return executor.status();
     const std::uint64_t begin = total_groups * i / num_chunks;
     const std::uint64_t end = total_groups * (i + 1) / num_chunks;

@@ -1,7 +1,7 @@
-// Types shared between the KIR executors and the device timing models:
-// launch geometry, argument bindings, the per-class operation histogram that
-// drives pipe-occupancy costing, and the bounded recorder through which the
-// executors stream simulated addresses towards the cache models.
+// Types shared between the KIR VM and the device timing models: launch
+// geometry, argument bindings, the per-class operation histogram that drives
+// pipe-occupancy costing, and the bounded recorder through which the VM
+// streams simulated addresses towards the cache models.
 #pragma once
 
 #include <array>
@@ -202,13 +202,13 @@ struct MemEvent {
   std::uint8_t kind;
 };
 
-/// Bounded recorder of an executor's memory accesses: the executor appends
-/// each access to one fixed chunk of kChunkEvents (64 KiB), and the chunk
-/// goes to the consumer whenever it fills and at every Flush(). A launch
-/// therefore never holds more than one chunk per recorder, and the
-/// consumer sees every event exactly once, in program order. Device models
-/// replay chunks into the cache hierarchy (sim::MemoryHierarchy::Replay);
-/// tests collect them.
+/// Bounded recorder of the VM's memory accesses (and the reference
+/// interpreter's, in tests): each access is appended to one fixed chunk of
+/// kChunkEvents (64 KiB), and the chunk goes to the consumer whenever it
+/// fills and at every Flush(). A launch therefore never holds more than one
+/// chunk per recorder, and the consumer sees every event exactly once, in
+/// program order. Device models replay chunks into the cache hierarchy
+/// (sim::MemoryHierarchy::Replay); tests collect them.
 class MemRecorder {
  public:
   static constexpr std::size_t kChunkEvents = 4096;
@@ -229,20 +229,6 @@ class MemRecorder {
   Consumer consumer_;
   std::unique_ptr<MemEvent[]> chunk_;
   std::size_t size_ = 0;
-};
-
-/// Receives every simulated memory access of the reference interpreter, in
-/// program order per work-item. The bytecode VM records into a MemRecorder
-/// instead; kir::Executor bridges the interpreter to the same recorder.
-class MemorySink {
- public:
-  virtual ~MemorySink() = default;
-  virtual void OnAccess(std::uint64_t addr, std::uint32_t bytes, bool is_write) = 0;
-  /// Atomics are read-modify-write; default forwards as read + write.
-  virtual void OnAtomic(std::uint64_t addr, std::uint32_t bytes) {
-    OnAccess(addr, bytes, false);
-    OnAccess(addr, bytes, true);
-  }
 };
 
 }  // namespace malisim::kir

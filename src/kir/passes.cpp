@@ -100,18 +100,28 @@ StatusOr<int> ConstantFold(Program* program) {
         in.fimm = r;
         in.dst = dst;
       } else {
-        const std::int64_t a = ca.is_float ? static_cast<std::int64_t>(ca.f) : ca.i;
-        const std::int64_t b = cb.is_float ? static_cast<std::int64_t>(cb.f) : cb.i;
+        std::int64_t a = ca.is_float ? static_cast<std::int64_t>(ca.f) : ca.i;
+        std::int64_t b = cb.is_float ? static_cast<std::int64_t>(cb.f) : cb.i;
+        const bool i32 = in.type.scalar == ScalarType::kI32;
+        if (i32) {
+          // The values the registers hold at run time: i32 constants are
+          // truncated when materialized.
+          a = static_cast<std::int32_t>(a);
+          b = static_cast<std::int32_t>(b);
+        }
         if ((in.op == Opcode::kDiv || in.op == Opcode::kIDiv ||
              in.op == Opcode::kIRem) &&
-            b == 0) {
+            (b == 0 || (i32 ? DivOverflows<std::int32_t>(a, b)
+                            : DivOverflows(a, b)))) {
           continue;  // leave the fault to runtime
         }
+        // Add/sub/mul wrap in 64 bits; an i32 result wraps again when the
+        // constant is materialized, which equals 32-bit wrapping.
         std::int64_t r = 0;
         switch (in.op) {
-          case Opcode::kAdd: r = a + b; break;
-          case Opcode::kSub: r = a - b; break;
-          case Opcode::kMul: r = a * b; break;
+          case Opcode::kAdd: r = WrapAdd(a, b); break;
+          case Opcode::kSub: r = WrapSub(a, b); break;
+          case Opcode::kMul: r = WrapMul(a, b); break;
           case Opcode::kDiv:
           case Opcode::kIDiv: r = a / b; break;
           case Opcode::kIRem: r = a % b; break;

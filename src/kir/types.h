@@ -7,7 +7,9 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <string>
+#include <type_traits>
 
 #include "common/status.h"
 
@@ -97,5 +99,36 @@ union RegValue {
   std::uint8_t raw[kMaxLanes * 8];
 };
 static_assert(sizeof(RegValue) == 128);
+
+/// KIR integer add/sub/mul/neg wrap in two's complement, as GPU integer
+/// units do. They are computed in the unsigned type because signed overflow
+/// is undefined behaviour in C++; the VM, the constant folder and the
+/// reference interpreter all use these, so they agree bit for bit.
+template <typename T>
+constexpr T WrapAdd(T a, T b) {
+  using U = std::make_unsigned_t<T>;
+  return static_cast<T>(static_cast<U>(a) + static_cast<U>(b));
+}
+template <typename T>
+constexpr T WrapSub(T a, T b) {
+  using U = std::make_unsigned_t<T>;
+  return static_cast<T>(static_cast<U>(a) - static_cast<U>(b));
+}
+template <typename T>
+constexpr T WrapMul(T a, T b) {
+  using U = std::make_unsigned_t<T>;
+  return static_cast<T>(static_cast<U>(a) * static_cast<U>(b));
+}
+template <typename T>
+constexpr T WrapNeg(T a) {
+  return WrapSub(T{0}, a);
+}
+
+/// True when a / b or a % b has no representable quotient (MIN / -1). It
+/// traps on the host, so KIR faults on it like on a zero divisor.
+template <typename T>
+constexpr bool DivOverflows(T a, T b) {
+  return b == T{-1} && a == std::numeric_limits<T>::min();
+}
 
 }  // namespace malisim::kir

@@ -230,8 +230,9 @@ inline void CopyBytes(void* dst, const void* src, std::uint32_t n) {
     }                                                                        \
   } while (0)
 
-/// Lane-wise binary operator over all four scalar types.
-#define MALISIM_VM_BIN(NAME, OPR)                                            \
+/// Lane-wise binary operator over all four scalar types; integers go
+/// through the wrapping IFN (types.h), since signed overflow is UB.
+#define MALISIM_VM_BIN(NAME, OPR, IFN)                                       \
   case VOp::NAME##F32:                                                       \
     MALISIM_VM_LANES(D.f32[l] = A.f32[l] OPR B.f32[l]);                      \
     break;                                                                   \
@@ -239,10 +240,10 @@ inline void CopyBytes(void* dst, const void* src, std::uint32_t n) {
     MALISIM_VM_LANES(D.f64[l] = A.f64[l] OPR B.f64[l]);                      \
     break;                                                                   \
   case VOp::NAME##I32:                                                       \
-    MALISIM_VM_LANES(D.i32[l] = A.i32[l] OPR B.i32[l]);                      \
+    MALISIM_VM_LANES(D.i32[l] = IFN(A.i32[l], B.i32[l]));                    \
     break;                                                                   \
   case VOp::NAME##I64:                                                       \
-    MALISIM_VM_LANES(D.i64[l] = A.i64[l] OPR B.i64[l]);                      \
+    MALISIM_VM_LANES(D.i64[l] = IFN(A.i64[l], B.i64[l]));                    \
     break;
 
 /// Lane-wise binary function (min/max style, distinct float/int funcs).
@@ -496,9 +497,9 @@ StatusOr<VmExecutor::StopReason> VmExecutor::RunItemImpl(
       case VOp::kArgI64:
         D.i64[0] = scalars[static_cast<std::size_t>(in.imm)].i;
         break;
-      MALISIM_VM_BIN(kAdd, +)
-      MALISIM_VM_BIN(kSub, -)
-      MALISIM_VM_BIN(kMul, *)
+      MALISIM_VM_BIN(kAdd, +, WrapAdd)
+      MALISIM_VM_BIN(kSub, -, WrapSub)
+      MALISIM_VM_BIN(kMul, *, WrapMul)
       case VOp::kDivF32:
         MALISIM_VM_LANES(D.f32[l] = A.f32[l] / B.f32[l]);
         break;
@@ -511,6 +512,9 @@ StatusOr<VmExecutor::StopReason> VmExecutor::RunItemImpl(
           if (B.i32[l] == 0) {
             MALISIM_VM_FAULT(InvalidArgumentError("integer division by zero"));
           }
+          if (DivOverflows(A.i32[l], B.i32[l])) {
+            MALISIM_VM_FAULT(InvalidArgumentError("integer division overflow"));
+          }
           D.i32[l] = A.i32[l] / B.i32[l];
         }
         break;
@@ -520,6 +524,9 @@ StatusOr<VmExecutor::StopReason> VmExecutor::RunItemImpl(
           if (B.i64[l] == 0) {
             MALISIM_VM_FAULT(InvalidArgumentError("integer division by zero"));
           }
+          if (DivOverflows(A.i64[l], B.i64[l])) {
+            MALISIM_VM_FAULT(InvalidArgumentError("integer division overflow"));
+          }
           D.i64[l] = A.i64[l] / B.i64[l];
         }
         break;
@@ -528,6 +535,9 @@ StatusOr<VmExecutor::StopReason> VmExecutor::RunItemImpl(
           if (B.i32[l] == 0) {
             MALISIM_VM_FAULT(InvalidArgumentError("integer division by zero"));
           }
+          if (DivOverflows(A.i32[l], B.i32[l])) {
+            MALISIM_VM_FAULT(InvalidArgumentError("integer division overflow"));
+          }
           D.i32[l] = A.i32[l] % B.i32[l];
         }
         break;
@@ -535,6 +545,9 @@ StatusOr<VmExecutor::StopReason> VmExecutor::RunItemImpl(
         for (int l = 0; l < lanes; ++l) {
           if (B.i64[l] == 0) {
             MALISIM_VM_FAULT(InvalidArgumentError("integer division by zero"));
+          }
+          if (DivOverflows(A.i64[l], B.i64[l])) {
+            MALISIM_VM_FAULT(InvalidArgumentError("integer division overflow"));
           }
           D.i64[l] = A.i64[l] % B.i64[l];
         }
@@ -554,10 +567,10 @@ StatusOr<VmExecutor::StopReason> VmExecutor::RunItemImpl(
         MALISIM_VM_LANES(D.f64[l] = -A.f64[l]);
         break;
       case VOp::kNegI32:
-        MALISIM_VM_LANES(D.i32[l] = -A.i32[l]);
+        MALISIM_VM_LANES(D.i32[l] = WrapNeg(A.i32[l]));
         break;
       case VOp::kNegI64:
-        MALISIM_VM_LANES(D.i64[l] = -A.i64[l]);
+        MALISIM_VM_LANES(D.i64[l] = WrapNeg(A.i64[l]));
         break;
       case VOp::kAbsF32:
         MALISIM_VM_LANES(D.f32[l] = std::fabs(A.f32[l]));
@@ -679,10 +692,10 @@ StatusOr<VmExecutor::StopReason> VmExecutor::RunItemImpl(
             for (int l = 0; l < in.aux8; ++l) s += A.f64[l];
             D.f64[0] = s; },
           { std::int32_t s = 0;
-            for (int l = 0; l < in.aux8; ++l) s += A.i32[l];
+            for (int l = 0; l < in.aux8; ++l) s = WrapAdd(s, A.i32[l]);
             D.i32[0] = s; },
           { std::int64_t s = 0;
-            for (int l = 0; l < in.aux8; ++l) s += A.i64[l];
+            for (int l = 0; l < in.aux8; ++l) s = WrapAdd(s, A.i64[l]);
             D.i64[0] = s; })
       case VOp::kLoad: {
         const Slot& slot = slots[in.slot];
@@ -727,9 +740,10 @@ StatusOr<VmExecutor::StopReason> VmExecutor::RunItemImpl(
           MALISIM_VM_FAULT(OutOfRangeError(
               "atomic out of bounds in kernel '" + p_->name + "'"));
         }
-        // Real atomic RMW (see the interpreter): work-groups may execute on
-        // concurrent host threads and integer addition commutes, so the
-        // final image is bit-identical for every interleaving.
+        // Real atomic RMW: work-groups may execute on concurrent host
+        // threads and integer addition commutes, so the final image is
+        // bit-identical for every interleaving. Alignment holds because
+        // bindings are element-aligned.
         std::atomic_ref<std::int32_t>(
             *reinterpret_cast<std::int32_t*>(slot.host + off))
             .fetch_add(A.i32[0], std::memory_order_relaxed);

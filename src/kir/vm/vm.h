@@ -1,15 +1,17 @@
-// Dispatch-loop executor for compiled KIR bytecode (bytecode.h).
+// Dispatch-loop executor for compiled KIR bytecode (bytecode.h): the one
+// engine that runs KIR kernels. The device models drive it through
+// sim::GroupRunner, and tests and examples through kir::RunProgram
+// (interp.h).
 //
-// Drop-in engine behind the kir::Executor facade (interp.h): same launch
-// validation, same RunGroup/RunAllGroups surface, same opcode-tally and
-// host-time hooks, and — by the accounting contract in bytecode.h —
-// bit-identical results, histograms, tallies, step weights and memory-access
-// streams to the reference interpreter. The speed comes from executing the
-// pre-decoded stream with one dense switch per instruction, appending
-// memory accesses to a bounded kir::MemRecorder chunk instead of a virtual
-// call per access, and deferring all histogram/tally work to a
-// per-instruction execution counter that is expanded through the
-// compile-time side tables once per work-group.
+// By the accounting contract in bytecode.h, its results, histograms,
+// tallies, step weights, memory-access streams and faults are bit-identical
+// to the plain tree-walk of kir::Instr kept as a test oracle
+// (tests/kir/reference_interp.h, `ctest -L kirvm`). The speed comes from
+// executing the pre-decoded stream with one dense switch per instruction,
+// appending memory accesses to a bounded kir::MemRecorder chunk, and
+// deferring all histogram/tally work to a per-instruction execution counter
+// that is expanded through the compile-time side tables once per
+// work-group.
 #pragma once
 
 #include <array>
@@ -27,17 +29,19 @@ namespace malisim::kir::vm {
 
 class VmExecutor {
  public:
-  /// Validates geometry and bindings exactly like the interpreter, plus a
-  /// sanity check that `code` was compiled from `program`. Both must
-  /// outlive the executor; `code` is shared (it is immutable).
+  /// Validates geometry and bindings against the program's declarations
+  /// (ValidateLaunch), plus a sanity check that `code` was compiled from
+  /// `program`. Both must outlive the executor; `code` is shared (it is
+  /// immutable).
   static StatusOr<VmExecutor> Create(
       const Program* program, std::shared_ptr<const CompiledProgram> code,
       LaunchConfig config, Bindings bindings);
 
-  /// Executes one work-group; merges results into `out` (interp contract)
-  /// and appends its memory accesses to `recorder` (null = drop them).
-  /// Deferred per-instruction counts are flushed into `out` on every exit,
-  /// including faults, so partial counts match the interpreter's.
+  /// Executes one work-group; merges results into `out` (callers aggregate
+  /// across groups) and appends its memory accesses to `recorder` (null =
+  /// drop them). Deferred per-instruction counts are flushed into `out` on
+  /// every exit, including faults, so partial counts match the reference
+  /// interpreter's.
   Status RunGroup(const std::array<std::uint64_t, 3>& group_id,
                   MemRecorder* recorder, WorkGroupRun* out);
 
@@ -47,14 +51,17 @@ class VmExecutor {
   const LaunchConfig& config() const { return config_; }
   const CompiledProgram& compiled() const { return *code_; }
 
-  /// Per-*source*-opcode tally hook (see InterpExecutor::set_opcode_tally);
-  /// fused bytecode ops contribute to every source opcode they stand for.
+  /// Optional per-*source*-opcode dynamic-count tally: `tally` must point
+  /// at kNumOpcodeValues zero-initialized slots and outlive the executor.
+  /// Fused bytecode ops contribute to every source opcode they stand for.
+  /// Integer tallies are commutative, so parallel callers can give each
+  /// worker a private tally and merge in any order.
   void set_opcode_tally(std::uint64_t* tally) { opcode_tally_ = tally; }
 
-  /// Host-time sampling hook (see HostTimeSink). Attribution stays in
-  /// source terms: ticks record the *source* pc of the live bytecode
-  /// instruction, so per-opcode and per-basic-block profiles keep their
-  /// interpreter meaning.
+  /// Optional host-time sampling hook (see HostTimeSink); the sink must
+  /// outlive the executor. Attribution stays in source terms: ticks record
+  /// the *source* pc of the live bytecode instruction, so per-opcode and
+  /// per-basic-block profiles read in terms of the KIR program.
   void set_host_time(HostTimeSink* sink) { host_time_ = sink; }
 
  private:

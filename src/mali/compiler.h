@@ -26,7 +26,7 @@ struct CompiledKernel {
   /// as part of the pure analysis and shared by every executor the device
   /// models create for it (cache hits inherit it). Null only for kernels
   /// built before the bytecode layer existed or when compilation is
-  /// bypassed; kir::Executor then compiles on the spot.
+  /// bypassed; sim::GroupRunner then compiles on the spot.
   std::shared_ptr<const kir::vm::CompiledProgram> bytecode;
   /// Register allocation result (peak live bytes per work-item).
   std::uint32_t live_reg_bytes = 0;

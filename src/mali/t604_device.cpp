@@ -147,7 +147,6 @@ StatusOr<GpuRunResult> MaliT604Device::Run(const CompiledKernel& kernel,
   // Kernels built through tinycl carry bytecode already; the runner
   // compiles for direct CompileForMali-era callers that predate the field.
   launch.bytecode = kernel.bytecode;
-  launch.engine = options_.kir_exec;
   launch.config = &config;
   launch.bindings = &bindings;
   launch.hierarchy = &hierarchy_;

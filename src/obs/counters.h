@@ -5,7 +5,7 @@
 // Add(id, delta) from anywhere. Hot simulation loops should accumulate into
 // a local integer and flush once per region instead of calling Add() per
 // event — the devices' opcode tallies follow that pattern via raw pointer
-// hooks (see kir::Executor::set_opcode_tally).
+// hooks (see kir::vm::VmExecutor::set_opcode_tally).
 //
 // ScopedSpan measures host wall-clock time (nanoseconds) into a counter.
 // Wall-clock values describe the simulator process itself and are kept out

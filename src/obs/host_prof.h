@@ -13,9 +13,9 @@
 //    AttributedFraction().
 //  * Interpreter attribution (InterpProfile + kir::HostTimeSink): cheap
 //    sampled per-opcode / per-basic-block host-time attribution inside
-//    kir::Executor::Step. Period N reads the clock once per N executed
-//    instructions and charges the window to the instruction live at the
-//    previous tick; period 1 is the exact-tally fallback. Selected via
+//    the KIR VM's dispatch loop. Period N reads the clock once per N
+//    executed instructions and charges the window to the instruction live
+//    at the previous tick; period 1 is the exact-tally fallback. Selected via
 //    ObsOptions::{host_prof_exact, host_prof_period}.
 //  * Overhead self-accounting: the per-sample clock cost is calibrated at
 //    construction, so SampleOverheadFraction() reports HostProf's own

@@ -4,8 +4,7 @@
 #include <chrono>
 #include <span>
 
-#include "kir/interp.h"
-#include "kir/vm/bytecode.h"
+#include "kir/vm/vm.h"
 #include "obs/host_prof.h"
 
 namespace malisim::sim {
@@ -62,7 +61,7 @@ StatusOr<GroupRunResult> GroupRunner::Run(const GroupLaunch& launch,
              launch.bindings != nullptr && launch.hierarchy != nullptr);
   const kir::Program& program = *launch.program;
   std::shared_ptr<const kir::vm::CompiledProgram> bytecode = launch.bytecode;
-  if (launch.engine == KirExec::kBytecode && bytecode == nullptr) {
+  if (bytecode == nullptr) {
     // Once per launch, shared by every task.
     obs::HostProf::PhaseSpan vm_span(launch.host_prof,
                                      obs::HostPhase::kVmCompile);
@@ -121,8 +120,8 @@ StatusOr<GroupRunResult> GroupRunner::Run(const GroupLaunch& launch,
         scratch.data(),
         launch.scratch_base + task.core * launch.scratch_stride,
         scratch_bytes};
-    StatusOr<kir::Executor> executor = kir::Executor::Create(
-        &program, config, std::move(bindings), launch.engine, bytecode);
+    StatusOr<kir::vm::VmExecutor> executor = kir::vm::VmExecutor::Create(
+        &program, bytecode, config, std::move(bindings));
     if (!executor.ok()) return executor.status();
     if (launch.opcode_tally) executor->set_opcode_tally(task_tallies[i].data());
     // Opcode sampling runs on the serial path only: pool workers would
@@ -179,10 +178,8 @@ StatusOr<GroupRunResult> GroupRunner::Run(const GroupLaunch& launch,
                                           obs::HostPhase::kExecute);
     // Spans are per-thread: vm/exec nests here only when the VM runs on
     // this thread.
-    obs::HostProf::PhaseSpan vm_exec_span(
-        serial && launch.engine == KirExec::kBytecode ? launch.host_prof
-                                                      : nullptr,
-        obs::HostPhase::kVmExec);
+    obs::HostProf::PhaseSpan vm_exec_span(serial ? launch.host_prof : nullptr,
+                                          obs::HostPhase::kVmExec);
     if (!serial &&
         (pool_ == nullptr || pool_->num_workers() != host_threads)) {
       pool_ = std::make_unique<ThreadPool>(host_threads);

@@ -2,7 +2,7 @@
 // launch's work-groups to per-core functional counts and cache misses.
 //
 // Each modelled core owns an ordered list of work-groups (its schedule).
-// The runner executes them with kir::Executor, records their memory
+// The runner executes them on the KIR VM, records their memory
 // accesses in bounded chunks (kir::MemRecorder) and replays every chunk
 // into the shared MemoryHierarchy in canonical order — core 0's groups in
 // schedule order, then core 1's, and so on — so the order-dependent cache
@@ -61,9 +61,8 @@ struct CoreResult {
 struct GroupLaunch {
   const kir::Program* program = nullptr;
   /// A VM compilation of `program` to share (e.g. from the Mali compile
-  /// cache); when null under KirExec::kBytecode the runner compiles one.
+  /// cache); when null the runner compiles one.
   std::shared_ptr<const kir::vm::CompiledProgram> bytecode;
-  KirExec engine = KirExec::kBytecode;
   const kir::LaunchConfig* config = nullptr;
   const kir::Bindings* bindings = nullptr;
   MemoryHierarchy* hierarchy = nullptr;

@@ -1,8 +1,9 @@
 // Golden-file regression test for the figure pipeline: runs a reduced
-// Fig. 2/3/4 sweep (three benchmarks at both precisions, quick problem
-// sizes) and compares a fully-precise CSV rendering of the results against
-// a checked-in golden file with ZERO tolerance. Any change to modelled
-// seconds, power, or energy — however small — shows up as a diff.
+// Fig. 2/3/4 sweep (three benchmarks at both precisions, smaller problem
+// sizes) and the full nine-benchmark sweep at the --quick sizes, and
+// compares a fully-precise CSV rendering of the results against checked-in
+// golden files with ZERO tolerance. Any change to modelled seconds, power,
+// or energy — however small — shows up as a diff.
 //
 // Regenerating the goldens (after an intentional model change):
 //
@@ -45,25 +46,14 @@ const std::vector<std::string>& SweepBenchmarks() {
   return kNames;
 }
 
-std::string GoldenPath(bool fp64) {
-  return std::string(MALISIM_GOLDEN_DIR) + "/reduced_sweep_" +
+std::string GoldenPath(const std::string& sweep, bool fp64) {
+  return std::string(MALISIM_GOLDEN_DIR) + "/" + sweep + "_" +
          (fp64 ? "fp64" : "fp32") + ".csv";
 }
 
-class GoldenFiguresTest : public ::testing::TestWithParam<bool> {};
-
-TEST_P(GoldenFiguresTest, ReducedSweepMatchesGoldenExactly) {
-  const bool fp64 = GetParam();
-  ExperimentRunner runner(QuickConfig(fp64));
-  std::vector<BenchmarkResults> results;
-  for (const std::string& name : SweepBenchmarks()) {
-    auto r = runner.RunBenchmark(name);
-    ASSERT_TRUE(r.ok()) << r.status().ToString();
-    results.push_back(*std::move(r));
-  }
-  const std::string csv = RenderFullPrecisionCsv(results, fp64);
-  const std::string path = GoldenPath(fp64);
-
+/// Compares `csv` with the golden file at `path` byte for byte, or
+/// rewrites the golden when MALISIM_UPDATE_GOLDEN is set.
+void ExpectMatchesGolden(const std::string& csv, const std::string& path) {
   if (std::getenv("MALISIM_UPDATE_GOLDEN") != nullptr) {
     std::ofstream out(path, std::ios::binary | std::ios::trunc);
     ASSERT_TRUE(out.good()) << "cannot write " << path;
@@ -83,6 +73,36 @@ TEST_P(GoldenFiguresTest, ReducedSweepMatchesGoldenExactly) {
   EXPECT_EQ(golden.str(), csv)
       << "figure sweep drifted from golden; if the model change is "
          "intentional, regenerate with MALISIM_UPDATE_GOLDEN=1";
+}
+
+class GoldenFiguresTest : public ::testing::TestWithParam<bool> {};
+
+TEST_P(GoldenFiguresTest, ReducedSweepMatchesGoldenExactly) {
+  const bool fp64 = GetParam();
+  ExperimentRunner runner(QuickConfig(fp64));
+  std::vector<BenchmarkResults> results;
+  for (const std::string& name : SweepBenchmarks()) {
+    auto r = runner.RunBenchmark(name);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    results.push_back(*std::move(r));
+  }
+  ExpectMatchesGolden(RenderFullPrecisionCsv(results, fp64),
+                      GoldenPath("reduced_sweep", fp64));
+}
+
+/// All nine benchmarks at ProblemSizes::Quick() with the figure binaries'
+/// defaults: the cells `fig2_performance --quick` reports, at full
+/// precision.
+TEST_P(GoldenFiguresTest, QuickSweepMatchesGoldenExactly) {
+  const bool fp64 = GetParam();
+  ExperimentConfig config;
+  config.sizes = hpc::ProblemSizes::Quick();
+  config.fp64 = fp64;
+  ExperimentRunner runner(config);
+  auto results = runner.RunAll();
+  ASSERT_TRUE(results.ok()) << results.status().ToString();
+  ExpectMatchesGolden(RenderFullPrecisionCsv(*results, fp64),
+                      GoldenPath("quick_sweep", fp64));
 }
 
 INSTANTIATE_TEST_SUITE_P(Precisions, GoldenFiguresTest,

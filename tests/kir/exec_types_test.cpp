@@ -129,23 +129,5 @@ TEST(ScalarValueTest, Factories) {
   EXPECT_DOUBLE_EQ(ScalarValue::F64V(0.25).f, 0.25);
 }
 
-TEST(NullMemorySinkTest, AtomicDefaultsToReadPlusWrite) {
-  class Counter final : public MemorySink {
-   public:
-    void OnAccess(std::uint64_t, std::uint32_t, bool is_write) override {
-      if (is_write) {
-        ++writes;
-      } else {
-        ++reads;
-      }
-    }
-    int reads = 0, writes = 0;
-  };
-  Counter sink;
-  sink.OnAtomic(0x1000, 4);  // base-class default
-  EXPECT_EQ(sink.reads, 1);
-  EXPECT_EQ(sink.writes, 1);
-}
-
 }  // namespace
 }  // namespace malisim::kir

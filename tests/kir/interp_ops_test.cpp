@@ -2,6 +2,7 @@
 // executed through a tiny kernel for each (scalar type, lane count)
 // combination and compared against the host computing the same expression.
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <tuple>
 #include <vector>
@@ -365,6 +366,69 @@ TEST(LaneOpsTest, ConvertAllPairs) {
   ASSERT_TRUE(RunProgram(p, LaunchConfig{}, std::move(bindings)).ok());
   EXPECT_EQ(oi, -2);  // C truncation toward zero
   EXPECT_FLOAT_EQ(of, 7.0f);
+}
+
+TEST(IntegerWrapTest, AddAndMulWrapInTwosComplement) {
+  // amcd's RNG seed, (chain + 1) * 0x9E3779B9, overflows i32: KIR integer
+  // add/sub/mul/neg wrap like the hardware's, for scalars and vectors.
+  KernelBuilder kb("wrap");
+  auto o32 = kb.ArgBuffer("o32", ScalarType::kI32, ArgKind::kBufferWO);
+  auto o64 = kb.ArgBuffer("o64", ScalarType::kI64, ArgKind::kBufferWO);
+  auto v32 = kb.ArgBuffer("v32", ScalarType::kI32, ArgKind::kBufferWO);
+  Val max32 = kb.ConstI(I32(), INT32_MAX);
+  Val min32 = kb.ConstI(I32(), INT32_MIN);
+  Val max64 = kb.ConstI(I64(), INT64_MAX);
+  auto at = [&](int i) { return kb.ConstI(I32(), i); };
+  kb.Store(o32, at(0), max32 + kb.ConstI(I32(), 1));
+  kb.Store(o32, at(1), kb.ConstI(I32(), 3) * kb.ConstI(I32(), 0x9E3779B9LL));
+  kb.Store(o32, at(2), min32 - kb.ConstI(I32(), 1));
+  kb.Store(o32, at(3), kb.Unary(Opcode::kNeg, min32));
+  kb.Store(o64, at(0), max64 + kb.ConstI(I64(), 1));
+  kb.Store(o64, at(1), max64 * kb.ConstI(I64(), 3));
+  kb.Store(v32, at(0),
+           kb.ConstI(I32(4), INT32_MAX) * kb.ConstI(I32(4), 2));
+  Program p = *kb.Build();
+
+  std::int32_t out32[4] = {};
+  std::int64_t out64[2] = {};
+  std::int32_t vec32[4] = {};
+  Bindings bindings;
+  bindings.buffers = {{reinterpret_cast<std::byte*>(out32), 0x1000, 16},
+                      {reinterpret_cast<std::byte*>(out64), 0x2000, 16},
+                      {reinterpret_cast<std::byte*>(vec32), 0x3000, 16}};
+  auto run = RunProgram(p, LaunchConfig{}, std::move(bindings));
+  ASSERT_TRUE(run.ok()) << run.status().ToString();
+  EXPECT_EQ(out32[0], INT32_MIN);
+  EXPECT_EQ(out32[1], static_cast<std::int32_t>(3u * 0x9E3779B9u));
+  EXPECT_EQ(out32[2], INT32_MAX);
+  EXPECT_EQ(out32[3], INT32_MIN);
+  EXPECT_EQ(out64[0], INT64_MIN);
+  EXPECT_EQ(out64[1], INT64_MAX - 2);
+  for (std::int32_t v : vec32) EXPECT_EQ(v, -2);
+}
+
+TEST(IntegerWrapTest, OverflowingDivisionIsAnError) {
+  // MIN / -1 and MIN % -1 have no representable quotient and trap on the
+  // host; KIR reports them like a zero divisor instead.
+  for (const ScalarType t : {ScalarType::kI32, ScalarType::kI64}) {
+    for (const Opcode op : {Opcode::kIDiv, Opcode::kIRem, Opcode::kDiv}) {
+      KernelBuilder kb("div_overflow");
+      auto out = kb.ArgBuffer("out", t, ArgKind::kBufferWO);
+      const std::int64_t min =
+          t == ScalarType::kI32 ? INT32_MIN : INT64_MIN;
+      Val q = kb.Binary(op, kb.ConstI(Type(t, 1), min),
+                        kb.ConstI(Type(t, 1), -1));
+      kb.Store(out, kb.ConstI(I32(), 0), q);
+      Program p = *kb.Build();
+      std::int64_t result = 0;
+      Bindings bindings;
+      bindings.buffers = {{reinterpret_cast<std::byte*>(&result), 0x1000, 8}};
+      auto run = RunProgram(p, LaunchConfig{}, std::move(bindings));
+      ASSERT_FALSE(run.ok()) << ScalarTypeName(t) << " " << OpcodeName(op);
+      EXPECT_EQ(run.status().code(), ErrorCode::kInvalidArgument);
+      EXPECT_EQ(run.status().message(), "integer division overflow");
+    }
+  }
 }
 
 }  // namespace

@@ -1,5 +1,6 @@
-// End-to-end interpreter tests: NDRange semantics, control flow, memory,
-// barriers, atomics, instrumentation counts, and fault detection.
+// End-to-end execution tests on the VM (through kir::RunProgram): NDRange
+// semantics, control flow, memory, barriers, atomics, instrumentation
+// counts, and fault detection.
 #include "kir/interp.h"
 
 #include <cstring>
@@ -9,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include "kir/builder.h"
+#include "kir/vm/vm.h"
 
 namespace malisim::kir {
 namespace {
@@ -344,24 +346,25 @@ TEST(InterpTest, MemorySinkSeesAddresses) {
   Bindings b = BindBuffers({{src.data(), 32}, {dst.data(), 32}});
   const std::uint64_t in_addr = b.buffers[0].sim_addr;
   const std::uint64_t out_addr = b.buffers[1].sim_addr;
-  for (const KirExec engine : {KirExec::kBytecode, KirExec::kInterp}) {
-    auto executor = Executor::Create(&p, LaunchConfig{}, b, engine);
-    ASSERT_TRUE(executor.ok());
-    std::vector<MemEvent> events;
-    MemRecorder recorder([&](std::span<const MemEvent> chunk) {
-      events.insert(events.end(), chunk.begin(), chunk.end());
-    });
-    WorkGroupRun run;
-    ASSERT_TRUE(executor->RunGroup({0, 0, 0}, &recorder, &run).ok());
-    EXPECT_TRUE(events.empty()) << "nothing reaches the consumer before a flush";
-    recorder.Flush();
-    ASSERT_EQ(events.size(), 2u);
-    EXPECT_EQ(events[0].kind, MemEvent::kRead);
-    EXPECT_EQ(events[0].addr, in_addr + 4);  // offset 1 element
-    EXPECT_EQ(events[0].bytes, 4u);
-    EXPECT_EQ(events[1].kind, MemEvent::kWrite);
-    EXPECT_EQ(events[1].addr, out_addr);
-  }
+  auto compiled = vm::CompileProgram(p);
+  ASSERT_TRUE(compiled.ok());
+  auto executor =
+      vm::VmExecutor::Create(&p, *std::move(compiled), LaunchConfig{}, b);
+  ASSERT_TRUE(executor.ok());
+  std::vector<MemEvent> events;
+  MemRecorder recorder([&](std::span<const MemEvent> chunk) {
+    events.insert(events.end(), chunk.begin(), chunk.end());
+  });
+  WorkGroupRun run;
+  ASSERT_TRUE(executor->RunGroup({0, 0, 0}, &recorder, &run).ok());
+  EXPECT_TRUE(events.empty()) << "nothing reaches the consumer before a flush";
+  recorder.Flush();
+  ASSERT_EQ(events.size(), 2u);
+  EXPECT_EQ(events[0].kind, MemEvent::kRead);
+  EXPECT_EQ(events[0].addr, in_addr + 4);  // offset 1 element
+  EXPECT_EQ(events[0].bytes, 4u);
+  EXPECT_EQ(events[1].kind, MemEvent::kWrite);
+  EXPECT_EQ(events[1].addr, out_addr);
 }
 
 }  // namespace

@@ -1,5 +1,7 @@
 #include "kir/passes.h"
 
+#include <cstdint>
+
 #include <gtest/gtest.h>
 
 #include "kir/builder.h"
@@ -65,6 +67,23 @@ TEST(ConstantFoldTest, LeavesDivisionByZeroToRuntime) {
   const std::size_t before = p.code.size();
   ASSERT_TRUE(ConstantFold(&p).ok());
   EXPECT_EQ(p.code.size(), before);  // not folded away
+}
+
+TEST(ConstantFoldTest, LeavesOverflowingDivisionToRuntime) {
+  // MIN / -1 would trap in the folder itself; like a zero divisor, it is
+  // left for the runtime to fault on.
+  for (const Type t : {I32(), I64()}) {
+    KernelBuilder kb("divo");
+    auto out = kb.ArgBuffer("out", t.scalar, ArgKind::kBufferWO);
+    Val a = kb.ConstI(t, t == I32() ? INT32_MIN : INT64_MIN);
+    Val b = kb.ConstI(t, -1);
+    kb.Store(out, kb.ConstI(I32(), 0), kb.Binary(Opcode::kIDiv, a, b));
+    kb.Store(out, kb.ConstI(I32(), 1), kb.Binary(Opcode::kIRem, a, b));
+    Program p = *kb.Build();
+    StatusOr<int> folded = ConstantFold(&p);
+    ASSERT_TRUE(folded.ok());
+    EXPECT_EQ(*folded, 0);
+  }
 }
 
 TEST(DeadCodeElimTest, RemovesUnusedArithmetic) {

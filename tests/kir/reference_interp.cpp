@@ -1,17 +1,17 @@
-#include "kir/interp.h"
+#include "reference_interp.h"
 
 #include <algorithm>
-#include <atomic>
-#include <chrono>
 #include <cmath>
 #include <cstring>
-#include <memory>
+
+#include "kir/interp.h"
 
 namespace malisim::kir {
 namespace {
 
-/// Applies `op(a, b)` lane-wise for the instruction's scalar type.
-#define MALI_BIN_ALL_TYPES(D, A, B, OPR)                                   \
+/// Applies `a OPR b` lane-wise to floats and the wrapping `IFN(a, b)` to
+/// integers, for the instruction's scalar type.
+#define MALI_BIN_ALL_TYPES(D, A, B, OPR, IFN)                              \
   switch (type.scalar) {                                                   \
     case ScalarType::kF32:                                                 \
       for (int l = 0; l < lanes; ++l) (D).f32[l] = (A).f32[l] OPR(B).f32[l]; \
@@ -20,10 +20,10 @@ namespace {
       for (int l = 0; l < lanes; ++l) (D).f64[l] = (A).f64[l] OPR(B).f64[l]; \
       break;                                                               \
     case ScalarType::kI32:                                                 \
-      for (int l = 0; l < lanes; ++l) (D).i32[l] = (A).i32[l] OPR(B).i32[l]; \
+      for (int l = 0; l < lanes; ++l) (D).i32[l] = IFN((A).i32[l], (B).i32[l]); \
       break;                                                               \
     case ScalarType::kI64:                                                 \
-      for (int l = 0; l < lanes; ++l) (D).i64[l] = (A).i64[l] OPR(B).i64[l]; \
+      for (int l = 0; l < lanes; ++l) (D).i64[l] = IFN((A).i64[l], (B).i64[l]); \
       break;                                                               \
   }
 
@@ -57,83 +57,18 @@ namespace {
       return InternalError("float-only op on integer register"); \
   }
 
-template <typename To, typename From>
-To ConvertLane(From v) {
-  return static_cast<To>(v);
-}
-
 }  // namespace
 
-Status ValidateLaunch(const Program& program, const LaunchConfig& config,
-                      const Bindings& bindings) {
-  if (!program.finalized()) {
-    return FailedPreconditionError("program not finalized: " + program.name);
-  }
-  if (!config.IsValid()) {
-    return InvalidArgumentError(
-        "invalid NDRange: global size must be a positive multiple of local "
-        "size in every used dimension");
-  }
-
-  // Check bindings against declarations.
-  std::uint32_t want_buffers = 0;
-  std::uint32_t want_scalars = 0;
-  for (const ArgDecl& arg : program.args) {
-    if (arg.kind == ArgKind::kScalar) {
-      ++want_scalars;
-    } else {
-      ++want_buffers;
-    }
-  }
-  if (bindings.buffers.size() != want_buffers) {
-    return InvalidArgumentError(
-        "kernel '" + program.name + "' expects " +
-        std::to_string(want_buffers) + " buffer args, got " +
-        std::to_string(bindings.buffers.size()));
-  }
-  if (bindings.scalars.size() != want_scalars) {
-    return InvalidArgumentError(
-        "kernel '" + program.name + "' expects " +
-        std::to_string(want_scalars) + " scalar args, got " +
-        std::to_string(bindings.scalars.size()));
-  }
-  for (std::size_t i = 0; i < bindings.buffers.size(); ++i) {
-    if (bindings.buffers[i].host == nullptr) {
-      return InvalidArgumentError("buffer arg " + std::to_string(i) +
-                                  " is unbound");
-    }
-  }
-  std::uint64_t local_bytes = 0;
-  for (const LocalArrayDecl& local : program.locals) {
-    local_bytes += static_cast<std::uint64_t>(local.elems) * ScalarBytes(local.elem);
-  }
-  if (local_bytes > 0 && (bindings.local_scratch.host == nullptr ||
-                          bindings.local_scratch.size_bytes < local_bytes)) {
-    return InvalidArgumentError("local scratch too small for kernel '" +
-                                program.name + "'");
-  }
-  // Scalar types must match.
-  std::size_t scalar_idx = 0;
-  for (const ArgDecl& arg : program.args) {
-    if (arg.kind != ArgKind::kScalar) continue;
-    if (bindings.scalars[scalar_idx].type != arg.elem) {
-      return InvalidArgumentError("scalar arg '" + arg.name + "' type mismatch");
-    }
-    ++scalar_idx;
-  }
-  return Status::Ok();
-}
-
-StatusOr<InterpExecutor> InterpExecutor::Create(const Program* program,
-                                                LaunchConfig config,
-                                                Bindings bindings) {
+StatusOr<ReferenceInterp> ReferenceInterp::Create(const Program* program,
+                                                  LaunchConfig config,
+                                                  Bindings bindings) {
   MALI_CHECK(program != nullptr);
   MALI_RETURN_IF_ERROR(ValidateLaunch(*program, config, bindings));
-  return InterpExecutor(program, config, std::move(bindings));
+  return ReferenceInterp(program, config, std::move(bindings));
 }
 
-InterpExecutor::InterpExecutor(const Program* program, LaunchConfig config,
-                               Bindings bindings)
+ReferenceInterp::ReferenceInterp(const Program* program, LaunchConfig config,
+                                 Bindings bindings)
     : p_(program), config_(config), bindings_(std::move(bindings)) {
   num_regs_ = static_cast<std::uint32_t>(p_->regs.size());
 
@@ -179,9 +114,9 @@ InterpExecutor::InterpExecutor(const Program* program, LaunchConfig config,
   }
 }
 
-Status InterpExecutor::RunGroup(const std::array<std::uint64_t, 3>& group_id,
-                                MemorySink* sink, WorkGroupRun* out) {
-  MALI_CHECK(sink != nullptr && out != nullptr);
+Status ReferenceInterp::RunGroup(const std::array<std::uint64_t, 3>& group_id,
+                                 MemRecorder* recorder, WorkGroupRun* out) {
+  MALI_CHECK(out != nullptr);
   const auto groups = config_.num_groups();
   for (int d = 0; d < 3; ++d) {
     if (group_id[d] >= groups[d]) {
@@ -217,7 +152,7 @@ Status InterpExecutor::RunGroup(const std::array<std::uint64_t, 3>& group_id,
       std::memset(static_cast<void*>(regs), 0, sizeof(RegValue) * num_regs_);
       const ThreadCtx ctx = make_ctx(t);
       const std::uint64_t item_start = steps_executed_;
-      MALI_RETURN_IF_ERROR(RunStraight(ctx, regs, sink, out));
+      MALI_RETURN_IF_ERROR(RunStraight(ctx, regs, recorder, out));
       max_item_weight = std::max(max_item_weight, steps_executed_ - item_start);
       ++out->work_items;
     }
@@ -245,7 +180,8 @@ Status InterpExecutor::RunGroup(const std::array<std::uint64_t, 3>& group_id,
       RegValue* regs = reg_arena_.data() + t * num_regs_;
       const std::uint64_t item_start = steps_executed_;
       StatusOr<StopReason> stop =
-          RunToBarrier(barrier_ctxs_[t], regs, &barrier_pcs_[t], sink, out);
+          RunToBarrier(barrier_ctxs_[t], regs, &barrier_pcs_[t], recorder,
+                       out);
       barrier_weights_[t] += steps_executed_ - item_start;
       if (!stop.ok()) return stop.status();
       if (*stop == StopReason::kDone) {
@@ -270,31 +206,32 @@ Status InterpExecutor::RunGroup(const std::array<std::uint64_t, 3>& group_id,
   return Status::Ok();
 }
 
-Status InterpExecutor::RunAllGroups(MemorySink* sink, WorkGroupRun* out) {
+Status ReferenceInterp::RunAllGroups(MemRecorder* recorder,
+                                     WorkGroupRun* out) {
   const auto groups = config_.num_groups();
   for (std::uint64_t gz = 0; gz < groups[2]; ++gz) {
     for (std::uint64_t gy = 0; gy < groups[1]; ++gy) {
       for (std::uint64_t gx = 0; gx < groups[0]; ++gx) {
-        MALI_RETURN_IF_ERROR(RunGroup({gx, gy, gz}, sink, out));
+        MALI_RETURN_IF_ERROR(RunGroup({gx, gy, gz}, recorder, out));
       }
     }
   }
   return Status::Ok();
 }
 
-Status InterpExecutor::RunStraight(const ThreadCtx& ctx, RegValue* regs,
-                             MemorySink* sink, WorkGroupRun* out) {
+Status ReferenceInterp::RunStraight(const ThreadCtx& ctx, RegValue* regs,
+                                    MemRecorder* recorder, WorkGroupRun* out) {
   std::uint32_t pc = 0;
   const std::uint32_t end = static_cast<std::uint32_t>(p_->code.size());
   while (pc < end) {
-    MALI_RETURN_IF_ERROR(Step(ctx, regs, &pc, sink, out));
+    MALI_RETURN_IF_ERROR(Step(ctx, regs, &pc, recorder, out));
   }
   return Status::Ok();
 }
 
-StatusOr<InterpExecutor::StopReason> InterpExecutor::RunToBarrier(
-    const ThreadCtx& ctx, RegValue* regs, std::uint32_t* pc, MemorySink* sink,
-    WorkGroupRun* out) {
+StatusOr<ReferenceInterp::StopReason> ReferenceInterp::RunToBarrier(
+    const ThreadCtx& ctx, RegValue* regs, std::uint32_t* pc,
+    MemRecorder* recorder, WorkGroupRun* out) {
   const std::uint32_t end = static_cast<std::uint32_t>(p_->code.size());
   while (*pc < end) {
     if (p_->code[*pc].op == Opcode::kBarrier) {
@@ -305,14 +242,14 @@ StatusOr<InterpExecutor::StopReason> InterpExecutor::RunToBarrier(
       ++*pc;
       return StopReason::kBarrier;
     }
-    MALI_RETURN_IF_ERROR(Step(ctx, regs, pc, sink, out));
+    MALI_RETURN_IF_ERROR(Step(ctx, regs, pc, recorder, out));
   }
   return StopReason::kDone;
 }
 
-Status InterpExecutor::Step(const ThreadCtx& ctx, RegValue* regs,
-                            std::uint32_t* pc, MemorySink* sink,
-                            WorkGroupRun* out) {
+Status ReferenceInterp::Step(const ThreadCtx& ctx, RegValue* regs,
+                             std::uint32_t* pc, MemRecorder* recorder,
+                             WorkGroupRun* out) {
   const std::uint32_t i = *pc;
   const Instr& in = p_->code[i];
   const Decoded& dec = decoded_[i];
@@ -322,9 +259,6 @@ Status InterpExecutor::Step(const ThreadCtx& ctx, RegValue* regs,
   ++steps_executed_;
   if (opcode_tally_ != nullptr) {
     ++opcode_tally_[static_cast<std::size_t>(in.op)];
-  }
-  if (host_time_ != nullptr && --host_time_->countdown == 0) {
-    HostTimeSinkTick(host_time_, *p_, i);
   }
 
   RegValue& D = regs[in.dst];
@@ -397,13 +331,13 @@ Status InterpExecutor::Step(const ThreadCtx& ctx, RegValue* regs,
       D = A;
       break;
     case Opcode::kAdd:
-      MALI_BIN_ALL_TYPES(D, A, B, +)
+      MALI_BIN_ALL_TYPES(D, A, B, +, WrapAdd)
       break;
     case Opcode::kSub:
-      MALI_BIN_ALL_TYPES(D, A, B, -)
+      MALI_BIN_ALL_TYPES(D, A, B, -, WrapSub)
       break;
     case Opcode::kMul:
-      MALI_BIN_ALL_TYPES(D, A, B, *)
+      MALI_BIN_ALL_TYPES(D, A, B, *, WrapMul)
       break;
     case Opcode::kDiv:
       switch (type.scalar) {
@@ -416,12 +350,18 @@ Status InterpExecutor::Step(const ThreadCtx& ctx, RegValue* regs,
         case ScalarType::kI32:
           for (int l = 0; l < lanes; ++l) {
             if (B.i32[l] == 0) return InvalidArgumentError("integer division by zero");
+            if (DivOverflows(A.i32[l], B.i32[l])) {
+              return InvalidArgumentError("integer division overflow");
+            }
             D.i32[l] = A.i32[l] / B.i32[l];
           }
           break;
         case ScalarType::kI64:
           for (int l = 0; l < lanes; ++l) {
             if (B.i64[l] == 0) return InvalidArgumentError("integer division by zero");
+            if (DivOverflows(A.i64[l], B.i64[l])) {
+              return InvalidArgumentError("integer division overflow");
+            }
             D.i64[l] = A.i64[l] / B.i64[l];
           }
           break;
@@ -433,11 +373,17 @@ Status InterpExecutor::Step(const ThreadCtx& ctx, RegValue* regs,
       if (type.scalar == ScalarType::kI32) {
         for (int l = 0; l < lanes; ++l) {
           if (B.i32[l] == 0) return InvalidArgumentError("integer division by zero");
+          if (DivOverflows(A.i32[l], B.i32[l])) {
+            return InvalidArgumentError("integer division overflow");
+          }
           D.i32[l] = is_rem ? A.i32[l] % B.i32[l] : A.i32[l] / B.i32[l];
         }
       } else {
         for (int l = 0; l < lanes; ++l) {
           if (B.i64[l] == 0) return InvalidArgumentError("integer division by zero");
+          if (DivOverflows(A.i64[l], B.i64[l])) {
+            return InvalidArgumentError("integer division overflow");
+          }
           D.i64[l] = is_rem ? A.i64[l] % B.i64[l] : A.i64[l] / B.i64[l];
         }
       }
@@ -491,10 +437,10 @@ Status InterpExecutor::Step(const ThreadCtx& ctx, RegValue* regs,
           for (int l = 0; l < lanes; ++l) D.f64[l] = -A.f64[l];
           break;
         case ScalarType::kI32:
-          for (int l = 0; l < lanes; ++l) D.i32[l] = -A.i32[l];
+          for (int l = 0; l < lanes; ++l) D.i32[l] = WrapNeg(A.i32[l]);
           break;
         case ScalarType::kI64:
-          for (int l = 0; l < lanes; ++l) D.i64[l] = -A.i64[l];
+          for (int l = 0; l < lanes; ++l) D.i64[l] = WrapNeg(A.i64[l]);
           break;
       }
       break;
@@ -760,13 +706,13 @@ Status InterpExecutor::Step(const ThreadCtx& ctx, RegValue* regs,
         }
         case ScalarType::kI32: {
           std::int32_t s = 0;
-          for (int l = 0; l < src_lanes; ++l) s += A.i32[l];
+          for (int l = 0; l < src_lanes; ++l) s = WrapAdd(s, A.i32[l]);
           D.i32[0] = s;
           break;
         }
         case ScalarType::kI64: {
           std::int64_t s = 0;
-          for (int l = 0; l < src_lanes; ++l) s += A.i64[l];
+          for (int l = 0; l < src_lanes; ++l) s = WrapAdd(s, A.i64[l]);
           D.i64[0] = s;
           break;
         }
@@ -782,7 +728,10 @@ Status InterpExecutor::Step(const ThreadCtx& ctx, RegValue* regs,
                                "' (element " + std::to_string(elem) + ")");
       }
       std::memcpy(D.raw, slot.host + off, dec.access_bytes);
-      sink->OnAccess(slot.sim_addr + off, dec.access_bytes, false);
+      if (recorder != nullptr) {
+        recorder->Record(slot.sim_addr + off, dec.access_bytes,
+                         MemEvent::kRead);
+      }
       ++out->loads;
       out->load_bytes += dec.access_bytes;
       break;
@@ -796,7 +745,10 @@ Status InterpExecutor::Step(const ThreadCtx& ctx, RegValue* regs,
                                "' (element " + std::to_string(elem) + ")");
       }
       std::memcpy(slot.host + off, A.raw, dec.access_bytes);
-      sink->OnAccess(slot.sim_addr + off, dec.access_bytes, true);
+      if (recorder != nullptr) {
+        recorder->Record(slot.sim_addr + off, dec.access_bytes,
+                         MemEvent::kWrite);
+      }
       ++out->stores;
       out->store_bytes += dec.access_bytes;
       break;
@@ -809,14 +761,13 @@ Status InterpExecutor::Step(const ThreadCtx& ctx, RegValue* regs,
         return OutOfRangeError("atomic out of bounds in kernel '" + p_->name +
                                "'");
       }
-      // Real atomic RMW: work-groups may execute on concurrent host
-      // threads under the parallel engine, and integer addition is
-      // commutative, so the final memory image is bit-identical for every
-      // interleaving. Alignment holds because bindings are element-aligned.
-      std::atomic_ref<std::int32_t>(
-          *reinterpret_cast<std::int32_t*>(slot.host + off))
-          .fetch_add(A.i32[0], std::memory_order_relaxed);
-      sink->OnAtomic(slot.sim_addr + off, 4);
+      std::int32_t old = 0;
+      std::memcpy(&old, slot.host + off, 4);
+      const std::int32_t sum = WrapAdd(old, A.i32[0]);
+      std::memcpy(slot.host + off, &sum, 4);
+      if (recorder != nullptr) {
+        recorder->Record(slot.sim_addr + off, 4, MemEvent::kAtomic);
+      }
       ++out->atomics;
       break;
     }
@@ -849,64 +800,6 @@ Status InterpExecutor::Step(const ThreadCtx& ctx, RegValue* regs,
   }
   *pc = next;
   return Status::Ok();
-}
-
-void HostTimeSinkTick(HostTimeSink* s, const Program& program,
-                      std::uint32_t pc) {
-  s->countdown = s->period == 0 ? 1 : s->period;
-  const std::uint64_t now = static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-  ++s->samples;
-  if (s->last_pc >= 0) {
-    // The window [last tick, now] is attributed to the instruction that
-    // was live at the previous tick — standard sampling estimator, exact
-    // when period == 1 (every step both opens and closes its own window).
-    const std::uint64_t delta = now - s->last_ns;
-    if (s->op_ns != nullptr) {
-      const Opcode op = program.code[static_cast<std::size_t>(s->last_pc)].op;
-      s->op_ns[static_cast<std::size_t>(op)] += delta;
-    }
-    if (s->block_ns != nullptr && s->block_of_pc != nullptr) {
-      s->block_ns[s->block_of_pc[static_cast<std::size_t>(s->last_pc)]] +=
-          delta;
-    }
-    s->steps += s->countdown;
-  }
-  s->last_pc = static_cast<std::int32_t>(pc);
-  s->last_ns = now;
-}
-
-std::vector<BlockSpan> BasicBlocks(const Program& program) {
-  const auto is_control = [](Opcode op) {
-    switch (op) {
-      case Opcode::kBarrier:
-      case Opcode::kLoopBegin:
-      case Opcode::kLoopEnd:
-      case Opcode::kIfBegin:
-      case Opcode::kElse:
-      case Opcode::kIfEnd:
-        return true;
-      default:
-        return false;
-    }
-  };
-  std::vector<BlockSpan> blocks;
-  const std::uint32_t n = static_cast<std::uint32_t>(program.code.size());
-  std::uint32_t i = 0;
-  while (i < n) {
-    if (is_control(program.code[i].op)) {
-      blocks.push_back({i, i + 1});
-      ++i;
-      continue;
-    }
-    std::uint32_t end = i + 1;
-    while (end < n && !is_control(program.code[end].op)) ++end;
-    blocks.push_back({i, end});
-    i = end;
-  }
-  return blocks;
 }
 
 #undef MALI_BIN_ALL_TYPES

@@ -13,6 +13,7 @@
 #include "kir/builder.h"
 #include "kir/interp.h"
 #include "kir/vm/bytecode.h"
+#include "kir/vm/vm.h"
 
 namespace malisim::kir {
 namespace {
@@ -284,8 +285,8 @@ TEST(VmCompileTest, ExecutorRejectsMismatchedBytecode) {
   LaunchConfig config;
   config.global_size = {32, 1, 1};
   config.local_size = {8, 1, 1};
-  StatusOr<Executor> executor = Executor::Create(
-      &p2, config, std::move(bind), KirExec::kBytecode, cp1);
+  StatusOr<vm::VmExecutor> executor =
+      vm::VmExecutor::Create(&p2, cp1, config, std::move(bind));
   ASSERT_FALSE(executor.ok());
   EXPECT_EQ(executor.status().code(), ErrorCode::kInternal);
 }

@@ -1,13 +1,15 @@
 // Differential fuzz battery pinning the bytecode VM to the reference
-// interpreter (`ctest -L kirvm`): randomized KIR programs — loops, ifs,
-// barriers, __local traffic, atomics, integer division, vectors — must
-// produce bit-identical buffers, operation histograms, per-opcode tallies,
-// memory-access streams and step weights under both engines, serially and
-// across host threads, and must fail identically (same status, same
-// partial counts) on runtime faults.
+// interpreter (reference_interp.h; `ctest -L kirvm`): randomized KIR
+// programs — loops, ifs, barriers, __local traffic, atomics, integer
+// division, vectors — must produce bit-identical buffers, operation
+// histograms, per-opcode tallies, memory-access streams and step weights
+// under the VM (serially and across host threads) and the interpreter, and
+// must fail identically (same status, same partial counts) on runtime
+// faults.
 #include <array>
 #include <cstdint>
 #include <cstring>
+#include <memory>
 #include <span>
 #include <string>
 #include <utility>
@@ -18,7 +20,8 @@
 #include "common/prng.h"
 #include "kir/builder.h"
 #include "kir/interp.h"
-#include "kir/vm/bytecode.h"
+#include "kir/vm/vm.h"
+#include "reference_interp.h"
 
 namespace malisim::kir {
 namespace {
@@ -125,13 +128,41 @@ Program RandomProgram(std::uint64_t seed) {
   return *kb.Build();
 }
 
+/// The oracle, the VM, and the VM across four host threads
+/// (kir::RunProgramParallel).
+enum class Engine { kReference, kVm, kVmThreaded };
+
+/// Runs every work-group of `p` serially under the oracle or the VM, with
+/// the optional opcode tally and recorder attached.
+Status RunAllGroups(Engine engine, const Program& p,
+                    const LaunchConfig& config, Bindings b,
+                    std::uint64_t* tally, MemRecorder* recorder,
+                    WorkGroupRun* out) {
+  if (engine == Engine::kReference) {
+    StatusOr<ReferenceInterp> interp =
+        ReferenceInterp::Create(&p, config, std::move(b));
+    if (!interp.ok()) return interp.status();
+    interp->set_opcode_tally(tally);
+    return interp->RunAllGroups(recorder, out);
+  }
+  StatusOr<std::shared_ptr<const vm::CompiledProgram>> code =
+      vm::CompileProgram(p);
+  if (!code.ok()) return code.status();
+  StatusOr<vm::VmExecutor> executor =
+      vm::VmExecutor::Create(&p, *std::move(code), config, std::move(b));
+  if (!executor.ok()) return executor.status();
+  executor->set_opcode_tally(tally);
+  return executor->RunAllGroups(recorder, out);
+}
+
 struct RunOut {
   std::vector<float> f;
   std::vector<std::int32_t> h;
   WorkGroupRun run;
 };
 
-RunOut Execute(const Program& p, KirExec engine, int threads) {
+/// Runs `p` under `engine` on fresh buffers.
+RunOut Execute(const Program& p, Engine engine) {
   RunOut out;
   out.f.resize(64);
   for (std::size_t i = 0; i < out.f.size(); ++i) {
@@ -150,11 +181,15 @@ RunOut Execute(const Program& p, KirExec engine, int threads) {
   LaunchConfig config;
   config.global_size = {32, 1, 1};
   config.local_size = {8, 1, 1};
-  StatusOr<WorkGroupRun> run =
-      threads == 1 ? RunProgram(p, config, std::move(b), engine)
-                   : RunProgramParallel(p, config, b, threads, engine);
-  EXPECT_TRUE(run.ok()) << run.status().ToString();
-  if (run.ok()) out.run = *std::move(run);
+  if (engine == Engine::kVmThreaded) {
+    StatusOr<WorkGroupRun> run = RunProgramParallel(p, config, b, 4);
+    EXPECT_TRUE(run.ok()) << run.status().ToString();
+    if (run.ok()) out.run = *std::move(run);
+    return out;
+  }
+  const Status st = RunAllGroups(engine, p, config, std::move(b), nullptr,
+                                 nullptr, &out.run);
+  EXPECT_TRUE(st.ok()) << st.ToString();
   return out;
 }
 
@@ -181,8 +216,8 @@ class VmDiffFuzzTest : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(VmDiffFuzzTest, BytecodeMatchesInterp) {
   const Program p = RandomProgram(GetParam());
-  const RunOut interp = Execute(p, KirExec::kInterp, 1);
-  const RunOut bytecode = Execute(p, KirExec::kBytecode, 1);
+  const RunOut interp = Execute(p, Engine::kReference);
+  const RunOut bytecode = Execute(p, Engine::kVm);
   EXPECT_EQ(interp.f, bytecode.f);
   EXPECT_EQ(interp.h, bytecode.h);
   ExpectRunsEqual(interp.run, bytecode.run);
@@ -190,13 +225,11 @@ TEST_P(VmDiffFuzzTest, BytecodeMatchesInterp) {
 
 TEST_P(VmDiffFuzzTest, BytecodeMatchesInterpAcrossThreads) {
   const Program p = RandomProgram(GetParam());
-  const RunOut reference = Execute(p, KirExec::kInterp, 1);
-  for (const KirExec engine : {KirExec::kInterp, KirExec::kBytecode}) {
-    const RunOut threaded = Execute(p, engine, 4);
-    EXPECT_EQ(reference.f, threaded.f);
-    EXPECT_EQ(reference.h, threaded.h);
-    ExpectRunsEqual(reference.run, threaded.run);
-  }
+  const RunOut reference = Execute(p, Engine::kReference);
+  const RunOut threaded = Execute(p, Engine::kVmThreaded);
+  EXPECT_EQ(reference.f, threaded.f);
+  EXPECT_EQ(reference.h, threaded.h);
+  ExpectRunsEqual(reference.run, threaded.run);
 }
 
 TEST_P(VmDiffFuzzTest, OpcodeTalliesAndMemoryStreamsMatch) {
@@ -205,7 +238,7 @@ TEST_P(VmDiffFuzzTest, OpcodeTalliesAndMemoryStreamsMatch) {
   std::array<std::vector<MemEvent>, 2> events;
   std::array<RunOut, 2> outs;
   std::array<WorkGroupRun, 2> runs;
-  const KirExec engines[] = {KirExec::kInterp, KirExec::kBytecode};
+  const Engine engines[] = {Engine::kReference, Engine::kVm};
   for (int e = 0; e < 2; ++e) {
     RunOut& out = outs[static_cast<std::size_t>(e)];
     out.f.assign(64, 1.5f);
@@ -222,17 +255,15 @@ TEST_P(VmDiffFuzzTest, OpcodeTalliesAndMemoryStreamsMatch) {
     LaunchConfig config;
     config.global_size = {32, 1, 1};
     config.local_size = {8, 1, 1};
-    StatusOr<Executor> executor =
-        Executor::Create(&p, config, std::move(b), engines[e]);
-    ASSERT_TRUE(executor.ok()) << executor.status().ToString();
-    executor->set_opcode_tally(tallies[static_cast<std::size_t>(e)].data());
     std::vector<MemEvent>& stream = events[static_cast<std::size_t>(e)];
     MemRecorder recorder([&](std::span<const MemEvent> chunk) {
       stream.insert(stream.end(), chunk.begin(), chunk.end());
     });
-    ASSERT_TRUE(
-        executor->RunAllGroups(&recorder, &runs[static_cast<std::size_t>(e)])
-            .ok());
+    const Status st = RunAllGroups(
+        engines[e], p, config, std::move(b),
+        tallies[static_cast<std::size_t>(e)].data(), &recorder,
+        &runs[static_cast<std::size_t>(e)]);
+    ASSERT_TRUE(st.ok()) << st.ToString();
     recorder.Flush();
   }
   EXPECT_EQ(outs[0].f, outs[1].f);
@@ -263,7 +294,7 @@ struct FaultOut {
   std::array<std::uint64_t, kNumOpcodeValues> tally{};
 };
 
-FaultOut ExecuteFault(const Program& p, KirExec engine,
+FaultOut ExecuteFault(const Program& p, Engine engine,
                       std::uint64_t buffer_elems) {
   FaultOut out;
   out.f.assign(buffer_elems, 2.0f);
@@ -273,18 +304,14 @@ FaultOut ExecuteFault(const Program& p, KirExec engine,
   LaunchConfig config;
   config.global_size = {32, 1, 1};
   config.local_size = {8, 1, 1};
-  StatusOr<Executor> executor =
-      Executor::Create(&p, config, std::move(b), engine);
-  EXPECT_TRUE(executor.ok()) << executor.status().ToString();
-  if (!executor.ok()) return out;
-  executor->set_opcode_tally(out.tally.data());
-  out.status = executor->RunAllGroups(nullptr, &out.run);
+  out.status = RunAllGroups(engine, p, config, std::move(b),
+                           out.tally.data(), nullptr, &out.run);
   return out;
 }
 
 void ExpectFaultsEqual(const Program& p, std::uint64_t buffer_elems) {
-  const FaultOut interp = ExecuteFault(p, KirExec::kInterp, buffer_elems);
-  const FaultOut bytecode = ExecuteFault(p, KirExec::kBytecode, buffer_elems);
+  const FaultOut interp = ExecuteFault(p, Engine::kReference, buffer_elems);
+  const FaultOut bytecode = ExecuteFault(p, Engine::kVm, buffer_elems);
   EXPECT_FALSE(interp.status.ok());
   EXPECT_EQ(interp.status.code(), bytecode.status.code());
   EXPECT_EQ(interp.status.message(), bytecode.status.message());
@@ -328,6 +355,25 @@ TEST(VmDiffFaultTest, IntegerDivisionByZeroFailsIdentically) {
   kb.Store(buf, gid, kb.Convert(q, ScalarType::kF32));
   const Program p = *kb.Build();
   ExpectFaultsEqual(p, 64);
+}
+
+TEST(VmDiffFaultTest, IntegerDivisionOverflowFailsIdentically) {
+  // INT_MIN / -1 has no i32 quotient (the host would trap): both engines
+  // fault at gid == 8, the first item whose divisor is -1.
+  for (const Opcode op : {Opcode::kIDiv, Opcode::kIRem, Opcode::kDiv}) {
+    KernelBuilder kb("div_overflow");
+    auto buf = kb.ArgBuffer("buf", ScalarType::kF32, ArgKind::kBufferRW);
+    Val gid = kb.GlobalId(0);
+    Val divisor = kb.Select(kb.CmpLt(gid, kb.ConstI(I32(), 8)),
+                            kb.ConstI(I32(), 2), kb.ConstI(I32(), -1));
+    Val q = kb.Binary(op, kb.ConstI(I32(), INT32_MIN), divisor);
+    kb.Store(buf, gid, kb.Convert(q, ScalarType::kF32));
+    const Program p = *kb.Build();
+    const FaultOut vm = ExecuteFault(p, Engine::kVm, 64);
+    EXPECT_EQ(vm.status.message(), "integer division overflow");
+    EXPECT_EQ(vm.run.work_items, 8u);
+    ExpectFaultsEqual(p, 64);
+  }
 }
 
 }  // namespace

@@ -71,10 +71,6 @@ struct ProfOptions {
   bool hotspots = false;
   bool prof_exact = false;
   std::uint32_t prof_period = 256;
-  /// KIR execution engine (--kir-exec=interp|bytecode). Modelled numbers
-  /// are identical; interp is useful to compare hotspot profiles against
-  /// the bytecode VM.
-  KirExec kir_exec = KirExec::kBytecode;
   std::string out_dir = "results";
   std::vector<std::string> benchmarks;  // empty = all registered
   /// Fault-injection knobs; injected faults and resilience actions show
@@ -88,8 +84,7 @@ void PrintUsage(const char* argv0) {
       "usage: %s [--fp64] [--quick] [--benchmarks=a,b,c] [--out=DIR]\n"
       "          [--power-hz=N] [--seed=N] [--repetitions=N] [--no-trace]\n"
       "          [--summary] [--hotspots] [--prof-mode=sampled|exact]\n"
-      "          [--prof-period=N] [--kir-exec=interp|bytecode]\n"
-      "          [--log-level=LEVEL] [--fault-seed=N]\n"
+      "          [--prof-period=N] [--log-level=LEVEL] [--fault-seed=N]\n"
       "          [--fault-rate=P] [--fault-spec=SPEC] [--watchdog=SEC]\n"
       "\n"
       "Profiles the paper benchmarks on the modelled Exynos 5250 and writes\n"
@@ -149,19 +144,6 @@ bool ParseArgs(int argc, char** argv, ProfOptions* options) {
         return false;
       }
       options->prof_period = static_cast<std::uint32_t>(period);
-    } else if (arg.rfind("--kir-exec=", 0) == 0) {
-      const std::string engine = arg.substr(11);
-      if (engine == "interp") {
-        options->kir_exec = KirExec::kInterp;
-      } else if (engine == "bytecode") {
-        options->kir_exec = KirExec::kBytecode;
-      } else {
-        std::fprintf(stderr,
-                     "malisim-prof: unknown --kir-exec '%s' "
-                     "(interp|bytecode)\n",
-                     engine.c_str());
-        return false;
-      }
     } else if (arg.rfind("--log-level=", 0) == 0) {
       // main() ran InitLogLevelFromEnv first, so the flag wins over the env.
       if (!ApplyLogLevelFlag(arg.substr(12))) {
@@ -213,7 +195,6 @@ int Run(const ProfOptions& options) {
   config.seed = options.seed;
   config.repetitions = options.repetitions;
   config.fault = options.fault;
-  config.kir_exec = options.kir_exec;
   if (options.quick) config.sizes = hpc::ProblemSizes::Quick();
 
   obs::ObsOptions obs_options;
