@@ -1,17 +1,15 @@
 // Graceful-degradation ladder: try progressively less ambitious ways of
-// producing the same result.
-//
-// The full ladder, realized across two cooperating layers (DESIGN.md §8):
-//
-//   OpenCL Opt -> reduced-opt kernel -> naive OpenCL -> OpenMP -> Serial
-//   \________________________________/  \___________________________/
-//    benchmark-internal kernel rungs      harness variant rungs
+// producing the same result. RunLadder is the one walker for every ladder
+// (DESIGN.md §8): the kernel rungs inside nbody and 2dcon, and the variant
+// rungs Hetero -> OpenCL Opt -> OpenCL -> OpenMP -> Serial that the harness
+// and serve walk.
 //
 // Each rung runs under the transient-retry policy; a degradable failure
-// moves down one rung, a fatal failure aborts the ladder. The report
-// gives callers the per-rung failures so layer-appropriate notes (the
-// figure annotations) can be rendered without this header knowing about
-// benchmarks or variants.
+// moves down one rung, a fatal failure aborts the ladder. An optional gate,
+// asked once before each rung, runs, skips or stops at it (serve's circuit
+// breakers and deadline budget). The report gives callers the per-rung
+// failures so layer-appropriate notes (the figure annotations) can be
+// rendered without this header knowing about benchmarks or variants.
 #pragma once
 
 #include <cstddef>
@@ -33,18 +31,14 @@ struct Rung {
   std::function<StatusOr<T>()> run;
 };
 
-/// The rungs strictly below `value` in a top-down ordered ladder table:
-/// RungsBelow({A, B, C}, B) == {C}; empty when `value` is the bottom rung
-/// or absent. Lets callers derive fallback sequences positionally from one
-/// ordered table instead of special-casing each enumerator — adding a rung
-/// (e.g. a new backend) is a one-line table edit.
-template <typename T>
-std::span<const T> RungsBelow(std::span<const T> ladder, const T& value) {
-  for (std::size_t i = 0; i < ladder.size(); ++i) {
-    if (ladder[i] == value) return ladder.subspan(i + 1);
-  }
-  return {};
-}
+/// A gate's verdict on one rung; on kStop, RunLadder returns `status`.
+struct GateDecision {
+  enum Action { kRun, kSkip, kStop } action = kRun;
+  Status status;
+};
+
+/// Asked once before each rung, with the rung's index.
+using RungGate = std::function<GateDecision(std::size_t rung_index)>;
 
 struct LadderReport {
   /// Rung that produced the result; -1 when every rung failed.
@@ -57,14 +51,26 @@ struct LadderReport {
 
 /// Walks the rungs top-down. Every rung gets the transient-retry budget;
 /// degradable failures fall through to the next rung, anything else
-/// returns immediately. Events are recorded on `injector` when given.
+/// returns immediately. When given, `gate` is asked before each rung.
+/// Events are recorded on `injector` when given, keyed by rung label:
+/// site "retry" (action "retried", "N transient retr(y|ies)") and site
+/// "degrade" (action "fell-back", "<status> -> trying '<next label>'").
 template <typename T>
 StatusOr<T> RunLadder(const RetryPolicy& policy, std::span<const Rung<T>> rungs,
                       LadderReport* report = nullptr,
-                      FaultInjector* injector = nullptr) {
+                      FaultInjector* injector = nullptr,
+                      const RungGate& gate = {}) {
   MALI_CHECK_MSG(!rungs.empty(), "degradation ladder needs at least one rung");
-  Status last;
+  Status last = FailedPreconditionError("every ladder rung was skipped");
   for (std::size_t i = 0; i < rungs.size(); ++i) {
+    if (gate) {
+      GateDecision decision = gate(i);
+      if (decision.action == GateDecision::kSkip) continue;
+      if (decision.action == GateDecision::kStop) {
+        MALI_CHECK_MSG(!decision.status.ok(), "a gate stops with an error");
+        return std::move(decision.status);
+      }
+    }
     RetryStats rs;
     StatusOr<T> result = RetryWithBackoff(policy, rungs[i].run, &rs);
     if (report != nullptr) {

@@ -10,8 +10,8 @@
 #include "common/sim_options.h"
 #include "common/stats.h"
 #include "common/thread_pool.h"
+#include "fault/degrade.h"
 #include "fault/injector.h"
-#include "fault/retry.h"
 #include "obs/recorder.h"
 
 namespace malisim::harness {
@@ -170,60 +170,33 @@ StatusOr<BenchmarkResults> ExperimentRunner::RunBenchmarkImpl(
     MALI_LOG_INFO("running %s / %s (%s)", name.c_str(),
                   std::string(hpc::VariantName(v)).c_str(),
                   config_.fp64 ? "fp64" : "fp32");
-    const std::string cell = name + "/" + std::string(hpc::VariantName(v));
     // Autotuned routing: a tuned config for this benchmark replaces the
     // fixed paper kernel on the OpenCL-opt column only.
     const auto tuned_it = config_.tuned_configs.find(name);
     const sim::TuningConfig* tuned =
         tuned_it != config_.tuned_configs.end() ? &tuned_it->second : nullptr;
-    auto run_variant = [&](hpc::Variant variant) {
-      obs::HostProf::PhaseSpan variant_span(host_prof,
-                                            obs::HostPhase::kVariant);
-      fault::RetryStats rs;
-      StatusOr<hpc::RunOutcome> result = fault::RetryWithBackoff(
-          plan.retry,
-          [&] {
-            if (tuned != nullptr && variant == hpc::Variant::kOpenCLOpt) {
-              return bench->RunTuned(*tuned, devices);
-            }
-            return bench->RunVariant(variant, devices);
-          },
-          &rs);
-      if (rs.retries > 0) {
-        injector.RecordAction("retry", cell, "retried",
-                              std::to_string(rs.retries) +
-                                  " transient harness-level retr" +
-                                  (rs.retries == 1 ? "y" : "ies"));
-      }
-      return result;
-    };
-
-    StatusOr<hpc::RunOutcome> run = run_variant(v);
-    std::string degrade_note;
-    if (!run.ok() && config_.fault.ResilienceActive() &&
-        fault::IsDegradable(run.status())) {
-      // Harness rung of the degradation ladder: fall to progressively less
-      // ambitious variants, positionally from the ladder table (so the
-      // hetero rung degrades into the single-device ones). Gated on an
-      // active fault config so the paper's missing bars (e.g. amcd FP64)
-      // stay missing in golden runs.
-      for (hpc::Variant fv : hpc::FallbackVariants(v)) {
-        const std::string fv_name(hpc::VariantName(fv));
-        injector.RecordAction("ladder", cell, "fell-back",
-                              run.status().ToString() + " -> trying " +
-                                  fv_name);
-        StatusOr<hpc::RunOutcome> lower = run_variant(fv);
-        if (lower.ok()) {
-          out.degraded_to = fv_name;
-          degrade_note = "degraded to " + fv_name + " after " +
-                         run.status().ToString();
-          run = std::move(lower);
-          break;
-        }
-        run = std::move(lower);
-        if (!fault::IsDegradable(run.status())) break;
-      }
+    // Harness rungs of the degradation ladder: `v`, then progressively less
+    // ambitious variants (the hetero rung degrades into the single-device
+    // ones). Only `v` while fault options are inactive, so the paper's
+    // missing bars (e.g. amcd FP64) stay missing in golden runs.
+    const std::span<const hpc::Variant> ladder =
+        config_.fault.ResilienceActive() ? hpc::LadderFrom(v)
+                                         : std::span<const hpc::Variant>(&v, 1);
+    std::vector<fault::Rung<hpc::RunOutcome>> rungs;
+    for (const hpc::Variant rung : ladder) {
+      rungs.push_back({std::string(hpc::VariantName(rung)), [&, rung] {
+                         obs::HostProf::PhaseSpan variant_span(
+                             host_prof, obs::HostPhase::kVariant);
+                         if (tuned != nullptr &&
+                             rung == hpc::Variant::kOpenCLOpt) {
+                           return bench->RunTuned(*tuned, devices);
+                         }
+                         return bench->RunVariant(rung, devices);
+                       }});
     }
+    fault::LadderReport ladder_report;
+    StatusOr<hpc::RunOutcome> run = fault::RunLadder<hpc::RunOutcome>(
+        plan.retry, rungs, &ladder_report, &injector);
     if (!run.ok()) {
       // Unavailable results (the paper's missing bars): build failures and
       // unrecovered resource exhaustion. Anything else is a harness bug.
@@ -239,7 +212,11 @@ StatusOr<BenchmarkResults> ExperimentRunner::RunBenchmarkImpl(
     out.validated = run->validated;
     out.max_rel_error = run->max_rel_error;
     out.note = run->note;
-    if (!degrade_note.empty()) {
+    if (ladder_report.rung_index > 0) {
+      out.degraded_to = rungs[ladder_report.rung_index].label;
+      const std::string degrade_note =
+          "degraded to " + out.degraded_to + " after " +
+          ladder_report.failures.back().second.ToString();
       out.note = out.note.empty() ? degrade_note
                                   : degrade_note + "; " + out.note;
     }
@@ -262,7 +239,8 @@ StatusOr<BenchmarkResults> ExperimentRunner::RunBenchmarkImpl(
         // Skip it so it cannot poison the mean/stddev; the figure tables
         // report the per-cell count.
         ++out.failed_repetitions;
-        injector.RecordAction("meter", cell, "skipped-rep",
+        injector.RecordAction("meter", std::string(hpc::VariantName(v)),
+                              "skipped-rep",
                               "repetition " + std::to_string(rep) +
                                   " lost all samples");
         continue;

@@ -71,14 +71,14 @@ struct JobExecResult {
   fault::RetryStats retry;
 };
 
-/// Runs exactly one variant of one job (no ladder — the serve engine owns
-/// degradation routing so its circuit breaker sees every per-rung
-/// outcome). Transient failures are retried inside, within the request's
-/// backoff budget. Error statuses pass through the fault taxonomy
-/// unchanged: degradable failures tell the engine to try a lower rung,
-/// fatal ones terminate the job. `out->retry` is filled even on failure
-/// (the engine accounts failed attempts' backoff against the deadline);
-/// the measurement fields are only meaningful on Ok.
+/// Runs exactly one variant of one job: one serve rung, which
+/// ServeEngine::RunJob walks through fault::RunLadder so its breakers see
+/// every per-rung outcome. Transient failures are retried here, on this
+/// call's board, within the request's backoff budget. Error statuses pass
+/// through the fault taxonomy unchanged: degradable failures move the walk
+/// to a lower rung, fatal ones end the job. `out->retry` is filled even on
+/// failure (the engine accounts failed attempts' backoff against the
+/// deadline); the measurement fields are only meaningful on Ok.
 Status ExecuteJobVariant(const JobExecRequest& request, JobExecResult* out);
 
 }  // namespace malisim::harness

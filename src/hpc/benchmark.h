@@ -47,13 +47,13 @@ std::string_view VariantName(Variant v);
 /// Degradation-ladder order, most- to least-ambitious (DESIGN.md §8). The
 /// co-execution rung sits on top: losing a device degrades to the Mali-only
 /// optimized version, then down the paper ladder to Serial. Fallbacks are
-/// derived positionally (fault::RungsBelow), not per-enumerator.
+/// derived positionally (LadderFrom), not per-enumerator.
 inline constexpr Variant kDegradationLadder[] = {
     Variant::kHetero, Variant::kOpenCLOpt, Variant::kOpenCL, Variant::kOpenMP,
     Variant::kSerial};
 
-/// Variants to try, in order, after `v` fails degradably.
-std::span<const Variant> FallbackVariants(Variant v);
+/// The rungs a request for `v` walks: `v`, then every variant below it.
+std::span<const Variant> LadderFrom(Variant v);
 
 /// Devices a benchmark runs against. The harness owns them; reusing one
 /// CPU/GPU pair across variants matches the single-board methodology.

@@ -1,6 +1,5 @@
 #include "hpc/benchmark.h"
 
-#include "fault/degrade.h"
 #include "hpc/kernels.h"
 
 namespace malisim::hpc {
@@ -21,8 +20,11 @@ std::string_view VariantName(Variant v) {
   return "<bad>";
 }
 
-std::span<const Variant> FallbackVariants(Variant v) {
-  return fault::RungsBelow(std::span<const Variant>(kDegradationLadder), v);
+std::span<const Variant> LadderFrom(Variant v) {
+  const std::span<const Variant> ladder(kDegradationLadder);
+  std::size_t i = 0;
+  while (i < ladder.size() && ladder[i] != v) ++i;
+  return ladder.subspan(i);
 }
 
 StatusOr<RunOutcome> Benchmark::RunTuned(const sim::TuningConfig& config,

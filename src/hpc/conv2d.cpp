@@ -381,7 +381,7 @@ class Conv2DBenchmark final : public Benchmark {
     // register appetite trips CL_OUT_OF_RESOURCES in DP and falls back to
     // the row-dot kernel (paper §V-A); injected compiler/queue faults walk
     // the same rungs.
-    std::vector<detail::KernelRung> rungs;
+    std::vector<fault::Rung<RunOutcome>> rungs;
     if (optimized) {
       rungs.push_back({"quad-output kernel", [&] {
                          return TryGpu(devices, "2dcon_cl_opt",

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <cstring>
 
-#include "fault/degrade.h"
 #include "fault/injector.h"
 #include "ocl/cl_error.h"
 
@@ -87,20 +86,16 @@ StatusOr<RunOutcome> RunGpuLaunches(Devices& devices,
   return outcome;
 }
 
-StatusOr<RunOutcome> RunKernelLadder(Devices& devices,
-                                     std::span<const KernelRung> rungs) {
+StatusOr<RunOutcome> RunKernelLadder(
+    Devices& devices, std::span<const fault::Rung<RunOutcome>> rungs) {
   MALI_CHECK(devices.gpu != nullptr);
   fault::FaultInjector* injector = devices.gpu->fault_injector();
   const fault::RetryPolicy policy =
       injector != nullptr ? injector->plan().retry : fault::RetryPolicy();
 
-  std::vector<fault::Rung<RunOutcome>> frungs;
-  frungs.reserve(rungs.size());
-  for (const KernelRung& rung : rungs) frungs.push_back({rung.label, rung.run});
-
   fault::LadderReport report;
-  StatusOr<RunOutcome> outcome = fault::RunLadder<RunOutcome>(
-      policy, frungs, &report, injector);
+  StatusOr<RunOutcome> outcome =
+      fault::RunLadder<RunOutcome>(policy, rungs, &report, injector);
   if (!outcome.ok()) return outcome;
 
   // Legacy-format note per fallen rung, e.g. "CL_OUT_OF_RESOURCES for

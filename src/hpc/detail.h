@@ -3,13 +3,13 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <span>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "fault/degrade.h"
 #include "hpc/benchmark.h"
 #include "kir/builder.h"
 #include "kir/exec_types.h"
@@ -104,24 +104,17 @@ struct GpuLaunch {
 StatusOr<RunOutcome> RunGpuLaunches(Devices& devices,
                                     std::span<GpuLaunch> launches);
 
-/// One rung of a benchmark-internal kernel ladder: the human-readable
-/// kernel label used in figure notes ("vector-gather kernel") plus a thunk
-/// that builds, binds, and runs that kernel flavor.
-struct KernelRung {
-  std::string label;
-  std::function<StatusOr<RunOutcome>()> run;
-};
-
-/// Runs the rungs top-down under the fault plan's retry policy: transient
-/// failures are retried with backoff, degradable failures fall to the next
-/// rung, anything else aborts. On fallback the legacy-format note
+/// Runs a benchmark-internal kernel ladder through fault::RunLadder under
+/// the fault plan's retry policy. Each rung's label is the kernel name used
+/// in figure notes ("vector-gather kernel"); its thunk builds, binds and
+/// runs that kernel flavor. On fallback the legacy-format note
 /// "<CL error> for <label>; fell back to <next label>" is prepended to the
 /// winning outcome's note, and retry accounting lands in its stats
 /// (fault.retries / fault.backoff_sec). With no injector attached the
 /// behavior is exactly the pre-ladder hard-coded fallback: only the
 /// deterministic register-budget failure can trip, and it falls one rung.
-StatusOr<RunOutcome> RunKernelLadder(Devices& devices,
-                                     std::span<const KernelRung> rungs);
+StatusOr<RunOutcome> RunKernelLadder(
+    Devices& devices, std::span<const fault::Rung<RunOutcome>> rungs);
 
 /// Reads back a GPU buffer through the map path into host memory.
 Status ReadGpuBuffer(ocl::Context& context, ocl::Buffer& buffer, void* dst,

@@ -476,7 +476,7 @@ class NbodyBenchmark final : public Benchmark {
     // the mild optimization level (paper §V-A: the DP Opt results barely
     // beat the naive version). With fault injection on, transient enqueue
     // failures are retried and compiler faults fall down the same rungs.
-    std::vector<detail::KernelRung> rungs;
+    std::vector<fault::Rung<RunOutcome>> rungs;
     if (optimized) {
       rungs.push_back({"vector-gather kernel", [&] {
                          return TryGpu(devices, "nbody_cl_opt",

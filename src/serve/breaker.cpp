@@ -69,6 +69,11 @@ void CircuitBreaker::RecordFailure() {
   }
 }
 
+void CircuitBreaker::RecordInconclusive() {
+  std::lock_guard<std::mutex> lock(mu_);
+  probe_in_flight_ = false;
+}
+
 BreakerState CircuitBreaker::state() const {
   std::lock_guard<std::mutex> lock(mu_);
   return state_;

@@ -7,6 +7,7 @@
 //   open   --(open_cooldown Allow() refusals elapsed)--> half-open
 //   half-open --(probe succeeds)--> closed
 //   half-open --(probe fails)--> open (cooldown restarts)
+//   half-open --(probe inconclusive)--> half-open (next caller probes)
 //
 // While a rung's breaker is open, the engine routes jobs straight past it
 // to the next rung down — turning a persistently broken backend from a
@@ -66,6 +67,9 @@ class CircuitBreaker {
   /// Reports the outcome of an attempt this breaker allowed.
   void RecordSuccess();
   void RecordFailure();
+  /// Reports an attempt that says nothing about the rung (a fatal job
+  /// error): frees the half-open probe slot and counts nothing.
+  void RecordInconclusive();
 
   BreakerState state() const;
   /// Total closed->open transitions (metrics).

@@ -7,7 +7,7 @@
 #include "common/json.h"
 #include "common/log.h"
 #include "common/table.h"
-#include "fault/retry.h"
+#include "fault/degrade.h"
 #include "harness/serve_exec.h"
 #include "harness/tuning.h"
 #include "obs/telemetry.h"
@@ -31,15 +31,6 @@ std::uint64_t JobFaultSeed(std::uint64_t base_seed, std::uint64_t job_id,
   mix(0xffULL);  // separator
   mix(static_cast<std::uint64_t>(rung));
   return h ^ base_seed ^ 0x5e27eULL;
-}
-
-/// The ladder from `requested` down (inclusive).
-std::span<const hpc::Variant> LadderFrom(hpc::Variant requested) {
-  const std::span<const hpc::Variant> ladder(hpc::kDegradationLadder);
-  for (std::size_t i = 0; i < ladder.size(); ++i) {
-    if (ladder[i] == requested) return ladder.subspan(i);
-  }
-  return ladder.last(1);  // unreachable: every variant is a rung
 }
 
 /// Appends one rung decision to the job's exemplar span list (no-op when
@@ -229,121 +220,133 @@ JobResult ServeEngine::RunJob(const JobSpec& job,
   const double budget = job.deadline_sec > 0.0 ? job.deadline_sec
                                                : options_.default_deadline_sec;
   double consumed = 0.0;
-  Status last_error =
-      InternalError("ladder exhausted without an attempt");  // overwritten
-  bool terminal_deadline = false;
+  // Set when a rung completes past the budget: the walk stops there.
+  Status overrun;
+  const std::span<const hpc::Variant> ladder = hpc::LadderFrom(job.variant);
 
-  for (hpc::Variant rung : LadderFrom(job.variant)) {
-    const bool last_resort = rung == hpc::Variant::kSerial;
-    CircuitBreaker& breaker = breakers_.ForVariant(rung);
-    const bool allowed = breaker.Allow();
-    if (!allowed && !last_resort) {
-      // Open breaker: route past this rung without paying for the failure.
+  // Routing policy, asked before each rung: stop after an overrun or once
+  // the budget is spent (checked first, so a job that cannot run the rung
+  // never takes its half-open probe), route past an open breaker. Serial
+  // is attempted regardless: there is nothing below it to route to.
+  const fault::RungGate gate = [&](std::size_t i) -> fault::GateDecision {
+    const hpc::Variant rung = ladder[i];
+    if (!overrun.ok()) return {fault::GateDecision::kStop, overrun};
+    if (budget > 0.0 && budget - consumed <= 0.0) {
+      AddSpan(spans, rung, consumed, consumed, "budget-exhausted");
+      return {fault::GateDecision::kStop,
+              DeadlineExceededError("job budget (" + std::to_string(budget) +
+                                    " modelled sec) exhausted before rung " +
+                                    std::string(hpc::VariantName(rung)))};
+    }
+    if (!breakers_.ForVariant(rung).Allow()) {
       r.breaker_rerouted = true;
-      AddSpan(spans, rung, consumed, consumed, "breaker-skipped");
-      continue;
-    }
-    if (!allowed) r.breaker_rerouted = true;  // forced Serial attempt
-
-    double remaining = 0.0;
-    if (budget > 0.0) {
-      remaining = budget - consumed;
-      if (remaining <= 0.0) {
-        terminal_deadline = true;
-        last_error = DeadlineExceededError(
-            "job budget (" + std::to_string(budget) +
-            " modelled sec) exhausted before rung " +
-            std::string(hpc::VariantName(rung)));
-        AddSpan(spans, rung, consumed, consumed, "budget-exhausted");
-        break;
+      if (rung != hpc::Variant::kSerial) {
+        AddSpan(spans, rung, consumed, consumed, "breaker-skipped");
+        return {fault::GateDecision::kSkip, {}};
       }
     }
+    return {};
+  };
 
-    harness::JobExecRequest request;
-    request.benchmark = job.benchmark;
-    request.sizes = job.sizes;
-    request.fp64 = job.fp64;
-    request.seed = job.seed;
-    request.device = job.device;
-    request.variant = rung;
-    request.hetero_ratio = job.hetero_ratio;
-    request.fault = options_.fault;
-    request.fault.seed = JobFaultSeed(options_.fault.seed, job.id, rung);
-    if (budget > 0.0) {
-      request.fault.watchdog_sec =
-          options_.fault.watchdog_sec > 0.0
-              ? std::min(options_.fault.watchdog_sec, remaining)
-              : remaining;
-      request.max_total_backoff_sec = remaining;
-    }
-    request.tuned = rung == hpc::Variant::kOpenCLOpt ? TunedConfigFor(job)
-                                                     : nullptr;
-    request.power = options_.power;
-    request.compile_cache = options_.compile_cache ? &compile_cache_ : nullptr;
+  // One attempt of one rung: the rung's remaining budget becomes its
+  // watchdog and retry cap, and its outcome is charged to the budget, fed
+  // to the rung's breaker and recorded as a span.
+  std::vector<fault::Rung<harness::JobExecResult>> rungs;
+  for (const hpc::Variant rung : ladder) {
+    rungs.push_back({std::string(hpc::VariantName(rung)),
+                     [&, rung]() -> StatusOr<harness::JobExecResult> {
+      CircuitBreaker& breaker = breakers_.ForVariant(rung);
+      const double remaining = budget > 0.0 ? budget - consumed : 0.0;
+      harness::JobExecRequest request;
+      request.benchmark = job.benchmark;
+      request.sizes = job.sizes;
+      request.fp64 = job.fp64;
+      request.seed = job.seed;
+      request.device = job.device;
+      request.variant = rung;
+      request.hetero_ratio = job.hetero_ratio;
+      request.fault = options_.fault;
+      request.fault.seed = JobFaultSeed(options_.fault.seed, job.id, rung);
+      if (budget > 0.0) {
+        request.fault.watchdog_sec =
+            options_.fault.watchdog_sec > 0.0
+                ? std::min(options_.fault.watchdog_sec, remaining)
+                : remaining;
+        request.max_total_backoff_sec = remaining;
+      }
+      request.tuned = rung == hpc::Variant::kOpenCLOpt ? TunedConfigFor(job)
+                                                       : nullptr;
+      request.power = options_.power;
+      request.compile_cache =
+          options_.compile_cache ? &compile_cache_ : nullptr;
 
-    harness::JobExecResult exec;
-    const double rung_start = consumed;
-    const Status status = harness::ExecuteJobVariant(request, &exec);
-    ++r.attempts;
-    r.retries += exec.retry.retries;
-    r.backoff_sec += exec.retry.backoff_sec;
-    consumed += exec.retry.backoff_sec;
-
-    if (status.ok()) {
-      consumed += exec.seconds;
-      breaker.RecordSuccess();
-      if (budget > 0.0 && consumed > budget) {
-        // It ran, but past the promise. A deadline violation is reported
-        // as one, not silently excused by eventual success.
-        terminal_deadline = true;
-        last_error = DeadlineExceededError(
-            "completed on rung " + std::string(hpc::VariantName(rung)) +
-            " but spent " + std::to_string(consumed) + " of " +
-            std::to_string(budget) + " modelled sec");
-        AddSpan(spans, rung, rung_start, consumed, "ok-past-deadline",
+      harness::JobExecResult exec;
+      const double rung_start = consumed;
+      const Status status = harness::ExecuteJobVariant(request, &exec);
+      ++r.attempts;
+      r.retries += exec.retry.retries;
+      r.backoff_sec += exec.retry.backoff_sec;
+      consumed += exec.retry.backoff_sec;
+      auto span = [&](const char* outcome) {
+        AddSpan(spans, rung, rung_start, consumed, outcome,
                 exec.retry.retries, exec.retry.backoff_sec);
-        break;
-      }
-      AddSpan(spans, rung, rung_start, consumed, "ok", exec.retry.retries,
-              exec.retry.backoff_sec);
-      r.state = rung == job.variant ? JobState::kOk : JobState::kDegraded;
-      r.ran = rung;
-      r.seconds = exec.seconds;
-      r.energy_j = exec.energy_j;
-      r.note = exec.note;
-      r.consumed_sec = consumed;
-      return r;
-    }
+      };
 
-    last_error = status;
-    if (status.code() == ErrorCode::kDeadlineExceeded) {
-      // The rung's watchdog fired: its whole allotment is spent.
-      consumed += request.fault.watchdog_sec;
-      breaker.RecordFailure();
-      AddSpan(spans, rung, rung_start, consumed, "watchdog",
-              exec.retry.retries, exec.retry.backoff_sec);
-      continue;
-    }
-    if (!fault::IsDegradable(status)) {
-      // Fatal taxonomy: no rung below computes a different answer.
-      AddSpan(spans, rung, rung_start, consumed, "fatal", exec.retry.retries,
-              exec.retry.backoff_sec);
-      r.state = JobState::kFailed;
-      r.error = status.ToString();
-      r.consumed_sec = consumed;
-      return r;
-    }
-    breaker.RecordFailure();
-    AddSpan(spans, rung, rung_start, consumed, "degradable-fault",
-            exec.retry.retries, exec.retry.backoff_sec);
+      if (status.ok()) {
+        consumed += exec.seconds;
+        breaker.RecordSuccess();
+        if (budget > 0.0 && consumed > budget) {
+          // It ran, but past the promise. A deadline violation is
+          // reported as one, not silently excused by eventual success.
+          overrun = DeadlineExceededError(
+              "completed on rung " + std::string(hpc::VariantName(rung)) +
+              " but spent " + std::to_string(consumed) + " of " +
+              std::to_string(budget) + " modelled sec");
+          span("ok-past-deadline");
+          return overrun;
+        }
+        span("ok");
+        return exec;
+      }
+      if (status.code() == ErrorCode::kDeadlineExceeded) {
+        // The rung's watchdog fired: its whole allotment is spent.
+        consumed += request.fault.watchdog_sec;
+        breaker.RecordFailure();
+        span("watchdog");
+      } else if (!fault::IsDegradable(status)) {
+        // Fatal taxonomy: no rung below computes a different answer. It is
+        // the job's error, not the rung's, so it only frees the probe.
+        breaker.RecordInconclusive();
+        span("fatal");
+      } else {
+        breaker.RecordFailure();
+        span("degradable-fault");
+      }
+      return status;
+    }});
   }
 
-  r.state =
-      terminal_deadline || last_error.code() == ErrorCode::kDeadlineExceeded
-          ? JobState::kDeadlineExceeded
-          : JobState::kFailed;
-  r.error = last_error.ToString();
+  // One walker attempt per rung: ExecuteJobVariant retries on the rung's
+  // own board, and a fresh board per attempt would redraw the same fault.
+  fault::RetryPolicy one_attempt;
+  one_attempt.max_attempts = 1;
+  fault::LadderReport report;
+  StatusOr<harness::JobExecResult> run =
+      fault::RunLadder<harness::JobExecResult>(one_attempt, rungs, &report,
+                                               nullptr, gate);
   r.consumed_sec = consumed;
+  if (!run.ok()) {
+    r.state = run.status().code() == ErrorCode::kDeadlineExceeded
+                  ? JobState::kDeadlineExceeded
+                  : JobState::kFailed;
+    r.error = run.status().ToString();
+    return r;
+  }
+  r.ran = ladder[static_cast<std::size_t>(report.rung_index)];
+  r.state = r.ran == job.variant ? JobState::kOk : JobState::kDegraded;
+  r.seconds = run->seconds;
+  r.energy_j = run->energy_j;
+  r.note = run->note;
   return r;
 }
 

@@ -4,9 +4,10 @@
 // Shape: submissions hash by job id onto one of `shards` bounded
 // admission queues, each drained by its own pool of worker threads.
 // Submission never blocks — a full shard sheds the newest arrival with a
-// typed Overloaded status (see admission_queue.h). Each accepted job runs
-// through harness::ExecuteJobVariant down the degradation ladder, guarded
-// by per-rung circuit breakers and a per-job modelled-seconds deadline.
+// typed Overloaded status (see admission_queue.h). Each accepted job walks
+// the degradation ladder through fault::RunLadder, one
+// harness::ExecuteJobVariant call per rung; per-rung circuit breakers and
+// a per-job modelled-seconds deadline sit in the walker's gate.
 // Every submission — accepted or shed — ends as exactly one JobResult;
 // ServeReport::Consistent() checks that invariant (zero lost jobs).
 //

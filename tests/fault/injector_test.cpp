@@ -150,12 +150,12 @@ TEST(InjectorTest, SinkSeesEveryEvent) {
   std::vector<FaultEvent> seen;
   injector.set_sink([&seen](const FaultEvent& e) { seen.push_back(e); });
   injector.Trip(FaultSite::kBuild, "kernel_a");
-  injector.RecordAction("ladder", "cell", "fell-back", "detail");
+  injector.RecordAction("degrade", "rung", "fell-back", "detail");
   ASSERT_EQ(seen.size(), 2u);
   EXPECT_EQ(seen[0].site, "build");
   EXPECT_EQ(seen[0].key, "kernel_a");
   EXPECT_EQ(seen[0].action, "injected");
-  EXPECT_EQ(seen[1].site, "ladder");
+  EXPECT_EQ(seen[1].site, "degrade");
   EXPECT_EQ(seen[1].action, "fell-back");
   EXPECT_EQ(injector.events().size(), 2u);
 }

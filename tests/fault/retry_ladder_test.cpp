@@ -254,13 +254,94 @@ TEST(LadderTest, RecordsActionsOnInjector) {
   FaultInjector injector(plan);
   std::vector<int> calls;
   std::vector<Rung<int>> rungs =
-      MakeRungs({ResourceExhaustedError("regs"), Status::Ok()}, &calls);
+      MakeRungs({UnavailableError("hiccup"), Status::Ok()}, &calls);
   RetryPolicy policy;
+  policy.max_attempts = 3;
   StatusOr<int> result = RunLadder<int>(policy, rungs, nullptr, &injector);
   ASSERT_TRUE(result.ok());
-  ASSERT_EQ(injector.events().size(), 1u);
-  EXPECT_EQ(injector.events()[0].site, "degrade");
-  EXPECT_EQ(injector.events()[0].action, "fell-back");
+  // One vocabulary for every ladder: events are keyed by the rung label.
+  ASSERT_EQ(injector.events().size(), 2u);
+  const FaultEvent& retry = injector.events()[0];
+  EXPECT_EQ(retry.site, "retry");
+  EXPECT_EQ(retry.key, "rung-0");
+  EXPECT_EQ(retry.action, "retried");
+  EXPECT_EQ(retry.detail, "2 transient retries");
+  const FaultEvent& fell = injector.events()[1];
+  EXPECT_EQ(fell.site, "degrade");
+  EXPECT_EQ(fell.key, "rung-0");
+  EXPECT_EQ(fell.action, "fell-back");
+  EXPECT_EQ(fell.detail,
+            UnavailableError("hiccup").ToString() + " -> trying 'rung-1'");
+}
+
+// ---------------------------------------------------------------------------
+// The per-rung gate.
+// ---------------------------------------------------------------------------
+
+GateDecision Skip() { return {GateDecision::kSkip, {}}; }
+
+TEST(LadderGateTest, SkippedRungNeverRunsAndTheNextDoes) {
+  std::vector<int> calls;
+  std::vector<Rung<int>> rungs = MakeRungs({Status::Ok(), Status::Ok()}, &calls);
+  LadderReport report;
+  StatusOr<int> result = RunLadder<int>(
+      RetryPolicy(), rungs, &report, nullptr,
+      [](std::size_t i) { return i == 0 ? Skip() : GateDecision(); });
+  ASSERT_TRUE(result.ok());
+  EXPECT_EQ(*result, 1);
+  EXPECT_EQ(report.rung_index, 1);
+  EXPECT_TRUE(report.failures.empty()) << "a skip is not a failure";
+  EXPECT_EQ(calls[0], 0);
+  EXPECT_EQ(calls[1], 1);
+}
+
+TEST(LadderGateTest, StopReturnsTheGateStatusAndRunsNothingBelow) {
+  std::vector<int> calls;
+  std::vector<Rung<int>> rungs = MakeRungs(
+      {BuildFailureError("ice"), Status::Ok(), Status::Ok()}, &calls);
+  StatusOr<int> result = RunLadder<int>(
+      RetryPolicy(), rungs, nullptr, nullptr, [](std::size_t i) {
+        return i == 1 ? GateDecision{GateDecision::kStop,
+                                     DeadlineExceededError("budget spent")}
+                      : GateDecision();
+      });
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), ErrorCode::kDeadlineExceeded);
+  EXPECT_EQ(result.status().message(), "budget spent");
+  EXPECT_EQ(calls[0], 1);
+  EXPECT_EQ(calls[1], 0);
+  EXPECT_EQ(calls[2], 0);
+}
+
+TEST(LadderGateTest, AskedOncePerRungIndex) {
+  std::vector<int> calls;
+  std::vector<Rung<int>> rungs = MakeRungs(
+      {UnavailableError("hiccup"), ResourceExhaustedError("regs"),
+       Status::Ok()},
+      &calls);
+  RetryPolicy policy;
+  policy.max_attempts = 3;
+  std::vector<std::size_t> asked;
+  StatusOr<int> result =
+      RunLadder<int>(policy, rungs, nullptr, nullptr, [&asked](std::size_t i) {
+        asked.push_back(i);
+        return GateDecision();
+      });
+  ASSERT_TRUE(result.ok());
+  EXPECT_EQ(calls[0], 3) << "retries stay inside the rung";
+  EXPECT_EQ(asked, (std::vector<std::size_t>{0, 1, 2}));
+}
+
+TEST(LadderGateTest, EveryRungSkippedIsAnError) {
+  std::vector<int> calls;
+  std::vector<Rung<int>> rungs = MakeRungs({Status::Ok(), Status::Ok()}, &calls);
+  LadderReport report;
+  StatusOr<int> result =
+      RunLadder<int>(RetryPolicy(), rungs, &report, nullptr,
+                     [](std::size_t) { return Skip(); });
+  EXPECT_FALSE(result.ok());
+  EXPECT_EQ(report.rung_index, -1);
+  EXPECT_EQ(calls[0] + calls[1], 0);
 }
 
 }  // namespace

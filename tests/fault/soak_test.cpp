@@ -242,11 +242,18 @@ TEST(ObservabilityTest, FaultEventsReachRecorder) {
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   const std::vector<obs::FaultRecord> faults = recorder.faults();
   ASSERT_FALSE(faults.empty());
+  int ladder_events = 0;
   for (const obs::FaultRecord& f : faults) {
     EXPECT_FALSE(f.site.empty());
     EXPECT_FALSE(f.action.empty());
+    // Keys are <benchmark>/<what>: the benchmark prefix appears once.
     EXPECT_EQ(f.key.rfind("vecop/", 0), 0u) << f.key;
+    EXPECT_NE(f.key.rfind("vecop/vecop/", 0), 0u) << f.key;
+    if (f.action == "fell-back") EXPECT_EQ(f.site, "degrade") << f.key;
+    if (f.site == "retry" || f.site == "degrade") ++ladder_events;
   }
+  // vecop has no kernel ladder, so these come from the variant ladder.
+  EXPECT_GT(ladder_events, 0) << "config must exercise harness rungs";
 }
 
 }  // namespace

@@ -1,26 +1,25 @@
 // Golden-file regression test for the figure pipeline: runs a reduced
 // Fig. 2/3/4 sweep (three benchmarks at both precisions, smaller problem
-// sizes) and the full nine-benchmark sweep at the --quick sizes, and
-// compares a fully-precise CSV rendering of the results against checked-in
-// golden files with ZERO tolerance. Any change to modelled seconds, power,
-// or energy — however small — shows up as a diff.
+// sizes), the full nine-benchmark sweep at the --quick sizes and the same
+// sweep under injected faults, and compares fully-precise renderings of
+// the results against checked-in golden files with ZERO tolerance. Any
+// change to modelled seconds, power, or energy — however small — shows up
+// as a diff.
 //
 // Regenerating the goldens (after an intentional model change):
 //
 //   MALISIM_UPDATE_GOLDEN=1 ./build/tests/harness/golden_figures_test
 //
-// rewrites tests/harness/golden/*.csv in the source tree; re-run the test
+// rewrites tests/harness/golden/* in the source tree; re-run the test
 // without the variable to confirm, then commit the updated CSVs with the
 // change that caused them.
 #include <cstdio>
-#include <cstdlib>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "golden_file.h"
 #include "harness/experiment.h"
 #include "harness/figures.h"
 
@@ -30,6 +29,8 @@
 
 namespace malisim::harness {
 namespace {
+
+using golden::ExpectMatchesGolden;
 
 ExperimentConfig QuickConfig(bool fp64) {
   ExperimentConfig config;
@@ -46,33 +47,10 @@ const std::vector<std::string>& SweepBenchmarks() {
   return kNames;
 }
 
-std::string GoldenPath(const std::string& sweep, bool fp64) {
+std::string GoldenPath(const std::string& sweep, bool fp64,
+                       const char* extension = ".csv") {
   return std::string(MALISIM_GOLDEN_DIR) + "/" + sweep + "_" +
-         (fp64 ? "fp64" : "fp32") + ".csv";
-}
-
-/// Compares `csv` with the golden file at `path` byte for byte, or
-/// rewrites the golden when MALISIM_UPDATE_GOLDEN is set.
-void ExpectMatchesGolden(const std::string& csv, const std::string& path) {
-  if (std::getenv("MALISIM_UPDATE_GOLDEN") != nullptr) {
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    ASSERT_TRUE(out.good()) << "cannot write " << path;
-    out << csv;
-    out.close();
-    GTEST_SKIP() << "golden regenerated at " << path;
-  }
-
-  std::ifstream in(path, std::ios::binary);
-  ASSERT_TRUE(in.good())
-      << "missing golden " << path
-      << " — run with MALISIM_UPDATE_GOLDEN=1 to create it";
-  std::ostringstream golden;
-  golden << in.rdbuf();
-  // Exact comparison, zero tolerance: modelled numbers are deterministic,
-  // so the strings must match byte for byte.
-  EXPECT_EQ(golden.str(), csv)
-      << "figure sweep drifted from golden; if the model change is "
-         "intentional, regenerate with MALISIM_UPDATE_GOLDEN=1";
+         (fp64 ? "fp64" : "fp32") + extension;
 }
 
 class GoldenFiguresTest : public ::testing::TestWithParam<bool> {};
@@ -103,6 +81,45 @@ TEST_P(GoldenFiguresTest, QuickSweepMatchesGoldenExactly) {
   ASSERT_TRUE(results.ok()) << results.status().ToString();
   ExpectMatchesGolden(RenderFullPrecisionCsv(*results, fp64),
                       GoldenPath("quick_sweep", fp64));
+}
+
+/// Every cell of a fault-injected quick sweep (with the Hetero column):
+/// whether it ran, its modelled seconds, the rung it degraded to and its
+/// notes. This pins the harness and kernel degradation ladders under
+/// injected faults, which the fault-free goldens above never walk.
+std::string RenderLadderCells(const std::vector<BenchmarkResults>& results,
+                              bool fp64) {
+  std::string out =
+      "benchmark|precision|variant|available|seconds|degraded_to|"
+      "unavailable_reason|note\n";
+  for (const BenchmarkResults& r : results) {
+    for (hpc::Variant v : hpc::kAllVariantsWithHetero) {
+      const VariantResult& vr = r.Get(v);
+      char seconds[32];
+      std::snprintf(seconds, sizeof(seconds), "%.17g", vr.seconds);
+      out += r.name + "|" + (fp64 ? "fp64" : "fp32") + "|" +
+             std::string(hpc::VariantName(v)) + "|" +
+             (vr.available ? "1" : "0") + "|" + seconds + "|" +
+             vr.degraded_to + "|" + vr.unavailable_reason + "|" + vr.note +
+             "\n";
+    }
+  }
+  return out;
+}
+
+TEST_P(GoldenFiguresTest, FaultInjectedQuickSweepMatchesGoldenExactly) {
+  const bool fp64 = GetParam();
+  ExperimentConfig config;
+  config.sizes = hpc::ProblemSizes::Quick();
+  config.fp64 = fp64;
+  config.include_hetero = true;
+  config.fault.seed = 7;
+  config.fault.rate = 0.05;
+  ExperimentRunner runner(config);
+  auto results = runner.RunAll();
+  ASSERT_TRUE(results.ok()) << results.status().ToString();
+  ExpectMatchesGolden(RenderLadderCells(*results, fp64),
+                      GoldenPath("fault_quick_sweep", fp64, ".txt"));
 }
 
 INSTANTIATE_TEST_SUITE_P(Precisions, GoldenFiguresTest,

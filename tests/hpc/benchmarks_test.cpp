@@ -2,8 +2,10 @@
 // benchmark validates functionally in both precisions (at reduced problem
 // sizes), and benchmark-specific behaviours (the amcd FP64 erratum, the
 // nbody/2dcon FP64 fallbacks) hold.
+#include <span>
 #include <string>
 #include <tuple>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -104,6 +106,20 @@ TEST(BenchmarkRegistryTest, PaperOrderAndFactories) {
     EXPECT_NE(CreateBenchmark(name), nullptr) << name;
   }
   EXPECT_EQ(CreateBenchmark("not_a_benchmark"), nullptr);
+}
+
+TEST(BenchmarkRegistryTest, LadderFromStartsAtTheRequestedVariant) {
+  using V = Variant;
+  auto ladder = [](Variant v) {
+    const std::span<const Variant> rungs = LadderFrom(v);
+    return std::vector<Variant>(rungs.begin(), rungs.end());
+  };
+  EXPECT_EQ(ladder(V::kHetero),
+            (std::vector<V>{V::kHetero, V::kOpenCLOpt, V::kOpenCL, V::kOpenMP,
+                            V::kSerial}));
+  EXPECT_EQ(ladder(V::kOpenCL),
+            (std::vector<V>{V::kOpenCL, V::kOpenMP, V::kSerial}));
+  EXPECT_EQ(ladder(V::kSerial), std::vector<V>{V::kSerial});
 }
 
 TEST(BenchmarkTest, DeterministicAcrossRuns) {

@@ -87,6 +87,20 @@ TEST(BreakerTest, ProbeFailureReopensAndCooldownRestarts) {
   EXPECT_EQ(breaker.state(), BreakerState::kClosed);
 }
 
+TEST(BreakerTest, InconclusiveProbeFreesTheSlotAndCountsNothing) {
+  CircuitBreaker breaker(Config(1, 0));
+  ASSERT_TRUE(breaker.Allow());
+  breaker.RecordFailure();       // trip
+  ASSERT_TRUE(breaker.Allow());  // probe
+  EXPECT_FALSE(breaker.Allow()) << "one probe at a time";
+  breaker.RecordInconclusive();  // the probe's job failed fatally
+  EXPECT_EQ(breaker.state(), BreakerState::kHalfOpen);
+  EXPECT_EQ(breaker.trips(), 1u);
+  ASSERT_TRUE(breaker.Allow()) << "the next caller becomes the probe";
+  breaker.RecordSuccess();
+  EXPECT_EQ(breaker.state(), BreakerState::kClosed);
+}
+
 TEST(BreakerTest, StateNamesAreDistinct) {
   EXPECT_NE(BreakerStateName(BreakerState::kClosed),
             BreakerStateName(BreakerState::kOpen));

@@ -9,7 +9,8 @@
 //  * Mid-soak shutdown (the SIGINT path): BeginShutdown while submitting
 //    drains in-flight work, sheds the rest, invariant intact.
 //  * Breaker trip -> route-down -> half-open probe -> recover, observed
-//    through the engine on a deterministically failing job mix.
+//    through the engine on a deterministically failing job mix, and a
+//    probe handed back by jobs that stop on or above its rung.
 //  * Deadlines: a budget too small for any rung terminates jobs as
 //    deadline-exceeded, never hangs them.
 //  * Determinism and single-job replay: per-job fault schedules depend
@@ -238,6 +239,80 @@ TEST(ServeEngineSoakTest, BreakerTripsRoutesDownAndRecovers) {
       EXPECT_EQ(row.state, BreakerState::kClosed) << "recovered by probe";
     }
   }
+}
+
+// A job that takes a rung's half-open probe and then ends without a
+// verdict on that rung must hand the probe back; otherwise the rung is
+// refused for the rest of the process. One worker, threshold 1, cooldown
+// 0: the amcd fp64 erratum trips OpenCL Opt, `probe_taker` runs next, and
+// every later spmv OpenCL Opt job must still be admitted to that rung.
+void ExpectProbeHandedBack(const JobSpec& probe_taker) {
+  ServeOptions options;
+  options.workers_per_shard = 1;
+  options.shards = 1;
+  options.queue_depth = 64;
+  options.fault.rate = 0.0;  // only the deterministic erratum
+  options.breaker.failure_threshold = 1;
+  options.breaker.open_cooldown = 0;
+  ServeEngine engine(options);
+
+  auto job = [](std::uint64_t id, const char* benchmark) {
+    JobSpec spec;
+    spec.id = id;
+    spec.benchmark = benchmark;
+    spec.sizes = hpc::ProblemSizes::Quick();
+    spec.variant = hpc::Variant::kOpenCLOpt;
+    spec.seed = 5;
+    return spec;
+  };
+  JobSpec amcd = job(0, "amcd");
+  amcd.fp64 = true;
+  ASSERT_TRUE(engine.Submit(amcd).ok());
+  ASSERT_TRUE(engine.Submit(probe_taker).ok());
+  for (std::uint64_t id = 2; id < 5; ++id) {
+    ASSERT_TRUE(engine.Submit(job(id, "spmv")).ok());
+  }
+  const ServeReport report = engine.Drain();
+
+  ASSERT_TRUE(report.Consistent());
+  ASSERT_EQ(report.results.size(), 5u);
+  EXPECT_EQ(report.results[0].ran, hpc::Variant::kOpenMP)
+      << "the erratum fails both OpenCL rungs";
+  for (std::size_t i = 2; i < 5; ++i) {
+    const JobResult& r = report.results[i];
+    SCOPED_TRACE(r.id);
+    EXPECT_EQ(r.state, JobState::kOk) << r.error;
+    EXPECT_EQ(r.ran, hpc::Variant::kOpenCLOpt);
+    EXPECT_FALSE(r.breaker_rerouted);
+  }
+  for (const ServeReport::BreakerRow& row : report.breakers) {
+    if (row.rung == hpc::Variant::kOpenCLOpt) {
+      EXPECT_EQ(row.state, BreakerState::kClosed);
+    }
+  }
+}
+
+TEST(ServeEngineSoakTest, BudgetSpentAboveARungLeavesItsProbeFree) {
+  // The Hetero rung's watchdog spends the whole budget, so the job stops
+  // before OpenCL Opt; it must not take that rung's probe first.
+  JobSpec hetero;
+  hetero.id = 1;
+  hetero.benchmark = "spmv";
+  hetero.sizes = hpc::ProblemSizes::Quick();
+  hetero.variant = hpc::Variant::kHetero;
+  hetero.seed = 5;
+  hetero.deadline_sec = 1e-9;
+  ExpectProbeHandedBack(hetero);
+}
+
+TEST(ServeEngineSoakTest, FatalJobFreesTheProbe) {
+  // An unknown benchmark fails fatally on the probe: a job error, not a
+  // verdict on the rung.
+  JobSpec nope;
+  nope.id = 1;
+  nope.benchmark = "nope";
+  nope.variant = hpc::Variant::kOpenCLOpt;
+  ExpectProbeHandedBack(nope);
 }
 
 TEST(ServeEngineSoakTest, ImpossibleDeadlineTerminatesNotHangs) {
