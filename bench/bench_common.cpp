@@ -1,17 +1,19 @@
 #include "bench/bench_common.h"
 
 #include <algorithm>
+#include <charconv>
 #include <chrono>
 #include <cinttypes>
-#include <vector>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
+#include <vector>
 
+#include "bench/paper_reference.h"
 #include "common/log.h"
 #include "common/table.h"
 #include "common/version.h"
 #include "fault/fault_plan.h"
+#include "harness/trace.h"
 #include "obs/bench_report.h"
 #include "obs/host_prof.h"
 #include "obs/metrics.h"
@@ -20,73 +22,26 @@
 
 namespace malisim::bench {
 
-BenchOptions ParseOptions(int argc, char** argv) {
-  // All figure binaries honour MALISIM_LOG_LEVEL (debug/info/warn/error/off).
-  InitLogLevelFromEnv();
-  BenchOptions options;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--fp32") {
-      options.run_fp64 = false;
-    } else if (arg == "--fp64") {
-      options.run_fp32 = false;
-    } else if (arg == "--csv") {
-      options.csv = true;
-    } else if (arg.rfind("--trace=", 0) == 0) {
-      options.trace_path = arg.substr(8);
-    } else if (arg.rfind("--bench-json=", 0) == 0) {
-      options.bench_json = arg.substr(13);
-    } else if (arg.rfind("--device=", 0) == 0) {
-      if (!sim::ParseBackend(arg.substr(9), &options.device)) {
-        std::fprintf(stderr, "unknown --device '%s' (mali|a15|hetero)\n",
-                     arg.c_str() + 9);
-        std::exit(2);
-      }
-    } else if (arg.rfind("--hetero-ratio=", 0) == 0) {
-      options.hetero_ratio = std::strtod(arg.c_str() + 15, nullptr);
-    } else if (arg.rfind("--seed=", 0) == 0) {
-      options.seed = std::strtoull(arg.c_str() + 7, nullptr, 10);
-    } else if (arg.rfind("--threads=", 0) == 0) {
-      options.threads =
-          static_cast<int>(std::strtol(arg.c_str() + 10, nullptr, 10));
-      if (options.threads < 0) options.threads = 0;  // 0 = all host cores
-    } else if (arg.rfind("--fault-seed=", 0) == 0) {
-      options.fault.seed = std::strtoull(arg.c_str() + 13, nullptr, 10);
-    } else if (arg.rfind("--fault-rate=", 0) == 0) {
-      options.fault.rate = std::strtod(arg.c_str() + 13, nullptr);
-    } else if (arg.rfind("--fault-spec=", 0) == 0) {
-      options.fault.spec = arg.substr(13);
-    } else if (arg.rfind("--watchdog=", 0) == 0) {
-      options.fault.watchdog_sec = std::strtod(arg.c_str() + 11, nullptr);
-    } else if (arg == "--tune") {
-      options.tune = true;
-    } else if (arg.rfind("--tune=", 0) == 0) {
-      options.tune = true;
-      if (!sim::ParseObjective(arg.substr(7), &options.tune_objective)) {
-        std::fprintf(stderr, "unknown --tune objective '%s' (time|energy|edp)\n",
-                     arg.c_str() + 7);
-        std::exit(2);
-      }
-    } else if (arg.rfind("--tune-cache=", 0) == 0) {
-      options.tune_cache = arg.substr(13);
-    } else if (arg.rfind("--log-level=", 0) == 0) {
-      // After InitLogLevelFromEnv above, so the flag wins over the env var.
-      if (!ApplyLogLevelFlag(arg.substr(12))) {
-        std::fprintf(stderr,
-                     "unknown --log-level '%s' (debug|info|warn|error|off)\n",
-                     arg.c_str() + 12);
-        std::exit(2);
-      }
-    } else if (arg == "--quick") {
-      options.sizes = hpc::ProblemSizes::Quick();
-    } else {
-      std::fprintf(stderr, "unknown flag '%s'\n", arg.c_str());
-      std::exit(2);
-    }
+namespace {
+
+/// The value of a `--flag=value` argument. Exits with status 2 unless the
+/// whole value parses as a T, so `--seed=abc` never quietly runs seed 0.
+template <typename T>
+T FlagValue(const std::string& arg) {
+  const std::size_t eq = arg.find('=');
+  const char* last = arg.data() + arg.size();
+  T value{};
+  const auto [end, error] = std::from_chars(arg.data() + eq + 1, last, value);
+  if (error != std::errc() || end != last) {
+    std::fprintf(stderr, "invalid value '%s' for %s\n", arg.c_str() + eq + 1,
+                 arg.substr(0, eq).c_str());
+    std::exit(2);
   }
-  return options;
+  return value;
 }
 
+/// Runs all nine benchmarks at one precision. `recorder`, when non-null,
+/// is attached to the harness for the sweep.
 StatusOr<std::vector<harness::BenchmarkResults>> RunSweep(
     const BenchOptions& options, bool fp64, obs::Recorder* recorder) {
   harness::ExperimentConfig config;
@@ -151,56 +106,118 @@ StatusOr<std::vector<harness::BenchmarkResults>> RunSweep(
   return runner.RunAll();
 }
 
-Status RunSweepInto(const BenchOptions& options, bool fp64,
-                    std::vector<SweepData>* sweeps) {
+}  // namespace
+
+BenchOptions ParseOptions(int argc, char** argv,
+                          std::vector<std::string>* experiments) {
+  // MALISIM_LOG_LEVEL (debug/info/warn/error/off) sets the default level.
+  InitLogLevelFromEnv();
+  BenchOptions options;
+  for (int i = 1; i < argc; ++i) {
+    const std::string arg = argv[i];
+    if (arg.empty() || arg[0] != '-') {
+      experiments->push_back(arg);
+    } else if (arg == "--fp32") {
+      options.run_fp64 = false;
+    } else if (arg == "--fp64") {
+      options.run_fp32 = false;
+    } else if (arg == "--csv") {
+      options.csv = true;
+    } else if (arg.rfind("--trace=", 0) == 0) {
+      options.trace_path = arg.substr(8);
+    } else if (arg.rfind("--bench-json=", 0) == 0) {
+      options.bench_json = arg.substr(13);
+    } else if (arg.rfind("--device=", 0) == 0) {
+      if (!sim::ParseBackend(arg.substr(9), &options.device)) {
+        std::fprintf(stderr, "unknown --device '%s' (mali|a15|hetero)\n",
+                     arg.c_str() + 9);
+        std::exit(2);
+      }
+    } else if (arg.rfind("--hetero-ratio=", 0) == 0) {
+      options.hetero_ratio = FlagValue<double>(arg);
+    } else if (arg.rfind("--seed=", 0) == 0) {
+      options.seed = FlagValue<std::uint64_t>(arg);
+    } else if (arg.rfind("--threads=", 0) == 0) {
+      options.threads = FlagValue<int>(arg);
+      if (options.threads < 0) options.threads = 0;  // 0 = all host cores
+    } else if (arg.rfind("--fault-seed=", 0) == 0) {
+      options.fault.seed = FlagValue<std::uint64_t>(arg);
+    } else if (arg.rfind("--fault-rate=", 0) == 0) {
+      options.fault.rate = FlagValue<double>(arg);
+    } else if (arg.rfind("--fault-spec=", 0) == 0) {
+      options.fault.spec = arg.substr(13);
+    } else if (arg.rfind("--watchdog=", 0) == 0) {
+      options.fault.watchdog_sec = FlagValue<double>(arg);
+    } else if (arg == "--tune") {
+      options.tune = true;
+    } else if (arg.rfind("--tune=", 0) == 0) {
+      options.tune = true;
+      if (!sim::ParseObjective(arg.substr(7), &options.tune_objective)) {
+        std::fprintf(stderr, "unknown --tune objective '%s' (time|energy|edp)\n",
+                     arg.c_str() + 7);
+        std::exit(2);
+      }
+    } else if (arg.rfind("--tune-cache=", 0) == 0) {
+      options.tune_cache = arg.substr(13);
+    } else if (arg.rfind("--log-level=", 0) == 0) {
+      // After InitLogLevelFromEnv above, so the flag wins over the env var.
+      if (!ApplyLogLevelFlag(arg.substr(12))) {
+        std::fprintf(stderr,
+                     "unknown --log-level '%s' (debug|info|warn|error|off)\n",
+                     arg.c_str() + 12);
+        std::exit(2);
+      }
+    } else if (arg == "--quick") {
+      options.sizes = hpc::ProblemSizes::Quick();
+    } else {
+      std::fprintf(stderr, "unknown flag '%s'\n", arg.c_str());
+      std::exit(2);
+    }
+  }
+  return options;
+}
+
+const SweepData* Sweeps::Get(bool fp64) {
+  const int index = fp64 ? 1 : 0;
+  if (sweeps_[index].has_value()) return &*sweeps_[index];
+  if (failed_[index]) return nullptr;
   SweepData sweep;
   sweep.fp64 = fp64;
-  if (!options.bench_json.empty()) {
+  if (!options_.bench_json.empty()) {
     sweep.recorder = std::make_shared<obs::Recorder>();
   }
   const auto host_start = std::chrono::steady_clock::now();
-  auto results = RunSweep(options, fp64, sweep.recorder.get());
+  auto results = RunSweep(options_, fp64, sweep.recorder.get());
   sweep.host_sec =
       std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                     host_start)
           .count();
-  if (!results.ok()) return results.status();
+  if (!results.ok()) {
+    std::fprintf(stderr, "error: %s\n", results.status().ToString().c_str());
+    failed_[index] = true;
+    return nullptr;
+  }
   sweep.results = std::move(*results);
-  sweeps->push_back(std::move(sweep));
-  return Status::Ok();
+  if (!options_.trace_path.empty()) {
+    harness::TraceBuilder trace;
+    for (const harness::BenchmarkResults& r : sweep.results) {
+      trace.AddBenchmark(r);
+    }
+    const std::string path =
+        options_.trace_path + (fp64 ? ".fp64.json" : ".fp32.json");
+    const Status written = trace.WriteTo(path);
+    if (written.ok()) {
+      std::fprintf(stderr, "trace written to %s\n", path.c_str());
+    } else {
+      std::fprintf(stderr, "trace error: %s\n", written.ToString().c_str());
+    }
+  }
+  sweeps_[index] = std::move(sweep);
+  return &*sweeps_[index];
 }
 
-std::string CompareWithPaper(
-    const std::vector<harness::BenchmarkResults>& results,
-    const std::map<std::string, PaperRow>& paper,
-    double (harness::BenchmarkResults::*metric)(hpc::Variant) const,
-    int precision) {
-  Table table({"benchmark", "paper OpenMP", "model OpenMP", "paper OpenCL",
-               "model OpenCL", "paper Opt", "model Opt"});
-  for (const harness::BenchmarkResults& r : results) {
-    auto it = paper.find(r.name);
-    if (it == paper.end()) continue;
-    const PaperRow& row = it->second;
-    table.BeginRow();
-    table.AddCell(r.name);
-    auto add_pair = [&](double paper_v, hpc::Variant v) {
-      if (std::isnan(paper_v)) {
-        table.AddMissing();
-      } else {
-        table.AddNumber(paper_v, precision);
-      }
-      const double model_v = (r.*metric)(v);
-      if (model_v <= 0.0) {
-        table.AddMissing();
-      } else {
-        table.AddNumber(model_v, precision);
-      }
-    };
-    add_pair(row.openmp, hpc::Variant::kOpenMP);
-    add_pair(row.opencl, hpc::Variant::kOpenCL);
-    add_pair(row.opencl_opt, hpc::Variant::kOpenCLOpt);
-  }
-  return table.ToAscii();
+void PrintTable(const Table& table, bool csv) {
+  std::printf("%s\n", csv ? table.ToCsv().c_str() : table.ToAscii().c_str());
 }
 
 namespace {
@@ -316,10 +333,13 @@ obs::SimThroughput ComputeThroughput(const SweepData& sweep) {
 
 }  // namespace
 
-Status WriteBenchJson(const BenchOptions& options,
-                      const std::string& bench_name,
-                      const std::vector<SweepData>& sweeps) {
+Status Sweeps::WriteBenchJson(const std::string& bench_name) const {
+  const BenchOptions& options = options_;
   if (options.bench_json.empty()) return Status::Ok();
+  if (!sweeps_[0].has_value() && !sweeps_[1].has_value()) {
+    return FailedPreconditionError(
+        "the record holds the figure sweeps, and no figure view ran");
+  }
 
   StatusOr<fault::FaultPlan> plan = fault::FaultPlan::FromOptions(options.fault);
   if (!plan.ok()) return plan.status();
@@ -370,7 +390,9 @@ Status WriteBenchJson(const BenchOptions& options,
   std::vector<obs::SimThroughput> throughput;
   obs::MetricsAggregator aggregator;
   const power::PowerModel model;
-  for (const SweepData& sweep : sweeps) {
+  for (const std::optional<SweepData>& slot : sweeps_) {
+    if (!slot.has_value()) continue;
+    const SweepData& sweep = *slot;
     AppendCells(sweep, &cells);
     AppendPaperDeltas(sweep, sweep.fp64 ? "fig2b" : "fig2a",
                       sweep.fp64 ? Fig2bSpeedup() : Fig2aSpeedup(),

@@ -1,15 +1,15 @@
-// Shared plumbing for the figure-reproduction binaries: flag parsing,
-// running both precisions, the paper-vs-model comparison rendering, and
-// the --bench-json BENCH record emission (obs/bench_report.h).
+// Shared plumbing for malisim-fig, the experiment driver: flag parsing, the
+// per-precision sweeps the figure views share, the --bench-json BENCH
+// record emission (obs/bench_report.h), and the experiments' entry points.
 #pragma once
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
-#include "bench/paper_reference.h"
+#include "common/table.h"
 #include "harness/experiment.h"
-#include "harness/figures.h"
 #include "obs/recorder.h"
 #include "sim/device.h"
 #include "sim/tuner.h"
@@ -25,11 +25,11 @@ struct BenchOptions {
   /// value; see ExperimentConfig::sim_threads).
   int threads = 1;
   hpc::ProblemSizes sizes;
-  /// When non-empty, a Chrome trace of the runs is written here.
+  /// When non-empty, a Chrome trace of each figure sweep is written here.
   std::string trace_path;
   /// When non-empty, a schema-versioned BENCH record (malisim-bench-v1) of
-  /// the run is written here for malisim-bench regression comparison.
-  /// Byte-identical for any --threads value.
+  /// the figure sweeps is written here for malisim-bench regression
+  /// comparison. Byte-identical for any --threads value.
   std::string bench_json;
   /// Backend the OpenCL variants run on (--device=mali|a15|hetero). The
   /// default reproduces the paper figures byte-for-byte; "hetero" adds the
@@ -52,23 +52,25 @@ struct BenchOptions {
   std::string tune_cache;
 };
 
-/// Parses --fp32 / --fp64 (run only that precision), --csv, --seed=N,
-/// --threads=N (host threads for the simulation engine), --quick (shrunken
-/// problem sizes for CI smoke runs), --trace=PATH (Chrome trace of the
-/// runs), --bench-json=PATH (machine-comparable BENCH record of the run),
-/// --device=mali|a15|hetero (backend for the OpenCL variants; exits with
-/// status 2 on an unknown name), --hetero-ratio=X (GPU split share on the
-/// hetero backend), and the fault-injection knobs: --fault-seed=N, --fault-rate=P
-/// (uniform per-site trip probability), --fault-spec=site=rate[,...]
-/// (per-site overrides; "all" = every site), --watchdog=SEC (per-kernel
-/// modelled-time budget), --tune[=time|energy|edp] (autotune the §III
-/// space and drive the OpenCL-opt column with the winners; exits with
-/// status 2 on an unknown objective), --tune-cache=PATH (persistent
-/// tuning-winner cache), and --log-level=debug|info|warn|error|off
-/// (overrides MALISIM_LOG_LEVEL; exits with status 2 on an unknown
-/// level). Any other argument exits with status 2 and an "unknown flag"
-/// message, so a typo never quietly runs the defaults.
-BenchOptions ParseOptions(int argc, char** argv);
+/// Appends every argument that does not start with '-' to *experiments, in
+/// order, and parses the flags: --fp32 / --fp64 (run only that precision),
+/// --csv, --seed=N, --threads=N (host threads for the simulation engine),
+/// --quick (shrunken problem sizes for CI smoke runs), --trace=PATH (Chrome
+/// trace of the sweeps), --bench-json=PATH (machine-comparable BENCH
+/// record of the sweeps), --device=mali|a15|hetero (backend for the OpenCL
+/// variants), --hetero-ratio=X (GPU split share on the hetero backend),
+/// the fault-injection knobs --fault-seed=N, --fault-rate=P (uniform
+/// per-site trip probability), --fault-spec=site=rate[,...] (per-site
+/// overrides; "all" = every site) and --watchdog=SEC (per-kernel modelled
+/// time budget), --tune[=time|energy|edp] (autotune the §III space and
+/// drive the OpenCL-opt column with the winners), --tune-cache=PATH
+/// (persistent tuning-winner cache), and --log-level=debug|info|warn|
+/// error|off (overrides MALISIM_LOG_LEVEL). Exits with status 2 on an
+/// unknown flag ("unknown flag"), an unknown device, objective or log
+/// level, or a numeric value that does not parse whole ("invalid value"),
+/// so a typo never quietly runs the defaults.
+BenchOptions ParseOptions(int argc, char** argv,
+                          std::vector<std::string>* experiments);
 
 /// One completed precision sweep plus the recorder that observed it (the
 /// recorder is only attached when options.bench_json is set).
@@ -82,32 +84,51 @@ struct SweepData {
   double host_sec = 0.0;
 };
 
-/// Runs all nine benchmarks at one precision. `recorder`, when non-null,
-/// is attached to the harness for the sweep.
-StatusOr<std::vector<harness::BenchmarkResults>> RunSweep(
-    const BenchOptions& options, bool fp64,
-    obs::Recorder* recorder = nullptr);
+/// The per-precision sweeps of one invocation. Every figure view reads the
+/// same sweep, so each precision is simulated at most once, on first use.
+class Sweeps {
+ public:
+  explicit Sweeps(const BenchOptions& options) : options_(options) {}
 
-/// Runs one precision sweep, attaching a fresh recorder when
-/// options.bench_json is set, and appends the sweep to *sweeps. Non-OK on
-/// harness failure.
-Status RunSweepInto(const BenchOptions& options, bool fp64,
-                    std::vector<SweepData>* sweeps);
+  /// Runs all nine benchmarks at one precision on first use, writing the
+  /// sweep's trace when options.trace_path is set. Null after a harness
+  /// failure, which is reported on stderr once.
+  const SweepData* Get(bool fp64);
 
-/// Writes the BENCH record for `sweeps` to options.bench_json: one cell
-/// per (benchmark, variant, precision), paper-reference deltas for every
-/// figure the paper reports, and the aggregated metrics snapshot
-/// (per-kernel time histograms, per-rail energy, fault counters) under a
-/// "fp32"/"fp64" prefix per sweep. No-op when options.bench_json is empty.
-Status WriteBenchJson(const BenchOptions& options,
-                      const std::string& bench_name,
-                      const std::vector<SweepData>& sweeps);
+  /// Writes the BENCH record of every sweep run so far to
+  /// options.bench_json: one cell per (benchmark, variant, precision),
+  /// paper-reference deltas for every figure the paper reports, and the
+  /// aggregated metrics snapshot (per-kernel time histograms, per-rail
+  /// energy, fault counters) under a "fp32"/"fp64" prefix per sweep.
+  /// No-op when options.bench_json is empty; an error when no sweep ran.
+  Status WriteBenchJson(const std::string& bench_name) const;
 
-/// Appends a paper-vs-model comparison table for the given metric.
-std::string CompareWithPaper(
-    const std::vector<harness::BenchmarkResults>& results,
-    const std::map<std::string, PaperRow>& paper,
-    double (harness::BenchmarkResults::*metric)(hpc::Variant) const,
-    int precision);
+ private:
+  const BenchOptions& options_;
+  std::optional<SweepData> sweeps_[2];  // indexed by fp64
+  bool failed_[2] = {false, false};
+};
+
+/// Prints `table` as CSV or ASCII, then a blank line.
+void PrintTable(const Table& table, bool csv);
+
+/// An experiment prints its output to stdout and returns the process exit
+/// status. The ablations and studies run fixed configurations: of the
+/// shared flags they read only --csv, and characteristics also --fp64.
+using ExperimentFn = int (*)(const BenchOptions& options, Sweeps& sweeps);
+
+// ablations.cpp: the eight §III technique ablations (DESIGN.md §5, A1-A8).
+int AblationMemoryMapping(const BenchOptions& options, Sweeps& sweeps);
+int AblationWorkgroupSize(const BenchOptions& options, Sweeps& sweeps);
+int AblationVectorSize(const BenchOptions& options, Sweeps& sweeps);
+int AblationUnrolling(const BenchOptions& options, Sweeps& sweeps);
+int AblationQualifiers(const BenchOptions& options, Sweeps& sweeps);
+int AblationDataLayout(const BenchOptions& options, Sweeps& sweeps);
+int AblationGlobalSize(const BenchOptions& options, Sweeps& sweeps);
+int AblationLocalMemory(const BenchOptions& options, Sweeps& sweeps);
+
+// studies.cpp: the extensions beyond the paper's figures.
+int ScalingStudy(const BenchOptions& options, Sweeps& sweeps);
+int BenchmarkCharacteristics(const BenchOptions& options, Sweeps& sweeps);
 
 }  // namespace malisim::bench

@@ -1,18 +1,18 @@
 # End-to-end check of the BENCH record contract, run by ctest:
-#   1. fig2_performance --quick --bench-json at --threads=1 and --threads=4
+#   1. malisim-fig fig2 --quick --bench-json at --threads=1 and --threads=4
 #      must emit byte-identical records (host parallelism is excluded from
 #      the record by design),
 #   2. malisim-bench comparing the record against itself must exit 0, and
 #   3. an explicit --device=mali run must be byte-identical to the default
 #      run — the backend refactor must not perturb the default record.
-# Driven via -DFIG2=... -DBENCH=... -DOUT_DIR=... -P this-file.
+# Driven via -DFIG=... -DBENCH=... -DOUT_DIR=... -P this-file.
 #
 # The measured-host throughput fields (sim_throughput_host: host_sec and
 # the rates derived from it) are wall-clock and explicitly EXCLUDED from
 # the byte-identity contract (obs/bench_report.h): they are zeroed here
 # before every compare. Everything else — including the deterministic
 # sim_throughput totals — must match byte for byte.
-foreach(var FIG2 BENCH OUT_DIR)
+foreach(var FIG BENCH OUT_DIR)
   if(NOT DEFINED ${var})
     message(FATAL_ERROR "bench_json_check: -D${var}=... is required")
   endif()
@@ -33,17 +33,17 @@ set(json_t1 "${OUT_DIR}/bench_t1.json")
 set(json_t4 "${OUT_DIR}/bench_t4.json")
 
 execute_process(
-  COMMAND "${FIG2}" --quick --threads=1 "--bench-json=${json_t1}"
+  COMMAND "${FIG}" fig2 --quick --threads=1 "--bench-json=${json_t1}"
   RESULT_VARIABLE rc1 OUTPUT_QUIET)
 if(NOT rc1 EQUAL 0)
-  message(FATAL_ERROR "fig2_performance --threads=1 failed (exit ${rc1})")
+  message(FATAL_ERROR "malisim-fig fig2 --threads=1 failed (exit ${rc1})")
 endif()
 
 execute_process(
-  COMMAND "${FIG2}" --quick --threads=4 "--bench-json=${json_t4}"
+  COMMAND "${FIG}" fig2 --quick --threads=4 "--bench-json=${json_t4}"
   RESULT_VARIABLE rc4 OUTPUT_QUIET)
 if(NOT rc4 EQUAL 0)
-  message(FATAL_ERROR "fig2_performance --threads=4 failed (exit ${rc4})")
+  message(FATAL_ERROR "malisim-fig fig2 --threads=4 failed (exit ${rc4})")
 endif()
 
 mask_host_fields("${json_t1}" "${json_t1}.masked")
@@ -69,11 +69,11 @@ endif()
 
 set(json_mali "${OUT_DIR}/bench_mali.json")
 execute_process(
-  COMMAND "${FIG2}" --quick --threads=1 --device=mali
+  COMMAND "${FIG}" fig2 --quick --threads=1 --device=mali
     "--bench-json=${json_mali}"
   RESULT_VARIABLE rc_mali OUTPUT_QUIET)
 if(NOT rc_mali EQUAL 0)
-  message(FATAL_ERROR "fig2_performance --device=mali failed (exit ${rc_mali})")
+  message(FATAL_ERROR "malisim-fig fig2 --device=mali failed (exit ${rc_mali})")
 endif()
 mask_host_fields("${json_mali}" "${json_mali}.masked")
 execute_process(

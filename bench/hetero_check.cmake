@@ -12,8 +12,8 @@
 # excluded from the endpoint equality check (huge prefix thresholds): the
 # hetero run records the extra Hetero-column launches and meter windows on
 # top of the shared variants, and the _host rates are wall-clock.
-# Driven via -DFIG2=... -DBENCH=... -DOUT_DIR=... -DBASELINE=... -P this-file.
-foreach(var FIG2 BENCH OUT_DIR BASELINE)
+# Driven via -DFIG=... -DBENCH=... -DOUT_DIR=... -DBASELINE=... -P this-file.
+foreach(var FIG BENCH OUT_DIR BASELINE)
   if(NOT DEFINED ${var})
     message(FATAL_ERROR "hetero_check: -D${var}=... is required")
   endif()
@@ -25,10 +25,10 @@ set(neutral_aggregates
 
 function(run_fig2 out_json)
   execute_process(
-    COMMAND "${FIG2}" --quick --threads=1 "--bench-json=${out_json}" ${ARGN}
+    COMMAND "${FIG}" fig2 --quick --threads=1 "--bench-json=${out_json}" ${ARGN}
     RESULT_VARIABLE rc OUTPUT_QUIET)
   if(NOT rc EQUAL 0)
-    message(FATAL_ERROR "fig2_performance ${ARGN} failed (exit ${rc})")
+    message(FATAL_ERROR "malisim-fig fig2 ${ARGN} failed (exit ${rc})")
   endif()
 endfunction()
 

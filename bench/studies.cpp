@@ -1,23 +1,41 @@
-// Benchmark characterization — the measured version of the paper's §IV-A
-// prose ("stresses the memory bandwidth", "useful as metric to measure
-// load imbalance", ...). For each benchmark's naive GPU version this prints
-// the dynamic operation mix, arithmetic intensity, access sequentiality,
-// atomics rate and work-group imbalance, so the §V performance discussion
-// can be traced back to measured workload properties.
-//
-// Usage: benchmark_characteristics [--csv] [--fp64]
-#include <cstdio>
+// The two extension studies beyond the paper's figures (DESIGN.md §5):
+// problem-size scaling and the measured benchmark characterization.
 #include <algorithm>
+#include <cstdio>
 #include <map>
 #include <memory>
 #include <string>
+#include <utility>
+#include <vector>
 
+#include "bench/bench_common.h"
 #include "common/table.h"
 #include "hpc/benchmark.h"
 
+namespace malisim::bench {
 namespace {
 
-using namespace malisim;
+using SizePoints = std::vector<std::pair<std::string, hpc::ProblemSizes>>;
+
+void ScalingSweep(const std::string& bench, const SizePoints& points,
+                  bool csv) {
+  std::printf("-- %s --\n", bench.c_str());
+  Table table({"size", "OpenCL speedup", "Opt speedup", "Opt energy vs Serial"});
+  for (const auto& [label, sizes] : points) {
+    harness::ExperimentConfig config;
+    config.sizes = sizes;
+    config.repetitions = 3;
+    harness::ExperimentRunner runner(config);
+    auto results = runner.RunBenchmark(bench);
+    MALI_CHECK(results.ok());
+    table.BeginRow();
+    table.AddCell(label);
+    table.AddNumber(results->SpeedupVsSerial(hpc::Variant::kOpenCL), 2);
+    table.AddNumber(results->SpeedupVsSerial(hpc::Variant::kOpenCLOpt), 2);
+    table.AddNumber(results->EnergyVsSerial(hpc::Variant::kOpenCLOpt), 3);
+  }
+  PrintTable(table, csv);
+}
 
 double Share(const kir::OpHistogram& ops, kir::OpClass c) {
   const double total = static_cast<double>(ops.Total());
@@ -27,15 +45,46 @@ double Share(const kir::OpHistogram& ops, kir::OpClass c) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  bool csv = false;
-  bool fp64 = false;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--csv") csv = true;
-    if (arg == "--fp64") fp64 = true;
+// The paper keeps each benchmark's problem size constant (§IV-D) and so
+// reports a single operating point. This sweeps the size for three
+// representative benchmarks to find where the GPU versions start to pay
+// off: at small sizes the fixed driver/launch and Job-Manager costs
+// dominate and the Serial CPU wins.
+int ScalingStudy(const BenchOptions& options, Sweeps&) {
+  std::printf("== Extension: problem-size scaling (GPU payoff crossovers) ==\n\n");
+  SizePoints dmmm, vecop, nbody;
+  for (std::uint32_t n : {32u, 64u, 128u, 192u, 256u}) {
+    hpc::ProblemSizes sizes;
+    sizes.dmmm_n = n;
+    dmmm.push_back({std::to_string(n) + "^3", sizes});
   }
+  for (std::uint32_t shift : {12u, 14u, 16u, 18u, 20u}) {
+    hpc::ProblemSizes sizes;
+    sizes.vecop_n = 1u << shift;
+    vecop.push_back({"2^" + std::to_string(shift), sizes});
+  }
+  for (std::uint32_t n : {256u, 512u, 1024u, 2048u}) {
+    hpc::ProblemSizes sizes;
+    sizes.nbody_n = n;
+    nbody.push_back({std::to_string(n) + " bodies", sizes});
+  }
+  ScalingSweep("dmmm", dmmm, options.csv);
+  ScalingSweep("vecop", vecop, options.csv);
+  ScalingSweep("nbody", nbody, options.csv);
+  std::printf(
+      "reading: at small sizes the ~45 us kernel-launch overhead and the\n"
+      "Job-Manager dispatch dominate and offloading loses; compute-dense\n"
+      "kernels (dmmm, nbody) cross over far earlier than streaming ones.\n");
+  return 0;
+}
 
+// The measured version of the paper's §IV-A prose ("stresses the memory
+// bandwidth", "useful as metric to measure load imbalance", ...): for each
+// benchmark's naive GPU version, the dynamic operation mix, arithmetic
+// intensity, access sequentiality, atomics rate and work-group imbalance,
+// so the §V performance discussion traces back to workload properties.
+int BenchmarkCharacteristics(const BenchOptions& options, Sweeps&) {
+  const bool fp64 = !options.run_fp32;
   const std::map<std::string, std::string> axis = {
       {"spmv", "load imbalance"},
       {"vecop", "memory bandwidth"},
@@ -94,10 +143,12 @@ int main(int argc, char** argv) {
                     2);
     table.AddCell(axis.at(name));
   }
-  std::printf("%s\n", csv ? table.ToCsv().c_str() : table.ToAscii().c_str());
+  PrintTable(table, options.csv);
   std::printf(
       "reading: spmv's imbalance, vecop's near-zero intensity, hist's\n"
       "1 atomic/item, nbody's special-function share and dmmm's high\n"
       "intensity are the §IV-A claims, measured.\n");
   return 0;
 }
+
+}  // namespace malisim::bench

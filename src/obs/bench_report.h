@@ -82,7 +82,7 @@ struct SimThroughput {
 };
 
 struct BenchReportMeta {
-  std::string name;             // emitting binary, e.g. "fig2_performance"
+  std::string name;             // emitting binary, e.g. "malisim-fig"
   std::string git_sha;          // provenance only, never compared
   std::string fault_plan_hash;  // hex digest of fault::FaultPlan::Hash()
   /// Sorted-on-emission (key, value) option strings. Anything that changes

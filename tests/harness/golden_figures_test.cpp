@@ -68,8 +68,8 @@ TEST_P(GoldenFiguresTest, ReducedSweepMatchesGoldenExactly) {
                       GoldenPath("reduced_sweep", fp64));
 }
 
-/// All nine benchmarks at ProblemSizes::Quick() with the figure binaries'
-/// defaults: the cells `fig2_performance --quick` reports, at full
+/// All nine benchmarks at ProblemSizes::Quick() with malisim-fig's
+/// defaults: the cells `malisim-fig fig2 --quick` reports, at full
 /// precision.
 TEST_P(GoldenFiguresTest, QuickSweepMatchesGoldenExactly) {
   const bool fp64 = GetParam();

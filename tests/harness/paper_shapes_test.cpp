@@ -204,7 +204,7 @@ TEST_F(PaperShapesTest, OptimizedEnergyBeatsNaiveOpenCL) {
   // Paper §V-C: OpenCL Opt always beats the corresponding non-optimized
   // OpenCL version on energy. (The paper's stronger claim — Opt beats
   // *every* version for every benchmark — holds at the full problem sizes
-  // used by bench/fig4_energy; at these reduced sizes the GPU's fixed
+  // used by `malisim-fig fig4`; at these reduced sizes the GPU's fixed
   // launch/dispatch overheads push the smallest memory-bound problems,
   // spmv and 3dstc, above the CPU versions.)
   for (const BenchmarkResults& r : *sp_) {

@@ -1,8 +1,8 @@
 // End-to-end test of the paper's §III-A "bad" host-code style: malloc
 // memory wrapped with CL_MEM_USE_HOST_PTR, moved with explicit
 // Write/ReadBuffer copies around the kernel — functionally correct but
-// paying for every copy (ablation_memory_mapping quantifies the cost; this
-// test pins the semantics).
+// paying for every copy (`malisim-fig ablation-memory-mapping` quantifies
+// the cost; this test pins the semantics).
 #include <cstring>
 #include <vector>
 

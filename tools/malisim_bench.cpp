@@ -1,6 +1,6 @@
 // malisim-bench: regression detection over BENCH_*.json records.
 //
-// Loads a baseline and a candidate record (emitted by the figure binaries
+// Loads a baseline and a candidate record (emitted by malisim-fig
 // via --bench-json=PATH), computes per-metric relative deltas with
 // direction-aware verdicts (a slower kernel is a regression, a faster one
 // an improvement, a changed fault count is reported but never a verdict),
