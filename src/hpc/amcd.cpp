@@ -335,8 +335,8 @@ class AmcdBenchmark final : public Benchmark {
     auto pz = kb.ArgBuffer("pz", ft(), ArgKind::kBufferRW);
     Val n = kb.ArgScalar("n_chains", kir::ScalarType::kI32);
     detail::Chunk chunk = detail::ThreadChunk(kb, n);
-    kb.For("c", chunk.start, chunk.end, 1,
-           [&](Val c) { EmitChain(kb, c, px, py, pz, /*unroll_j=*/1); });
+    kb.ParallelFor("c", chunk.start, chunk.end, 1,
+                   [&](Val c) { EmitChain(kb, c, px, py, pz, /*unroll_j=*/1); });
     return kb.Build();
   }
 

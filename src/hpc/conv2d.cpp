@@ -293,8 +293,9 @@ class Conv2DBenchmark final : public Benchmark {
     Val y_end = kb.Binary(Opcode::kAdd, chunk.end, halo);
     Val x_end = kb.Binary(Opcode::kSub, d, halo);
     kb.For("y", y_start, y_end, 1, [&](Val y) {
-      kb.For("x", halo, x_end, 1,
-             [&](Val x) { EmitScalarPoint(kb, in, filt, out, x, y, d); });
+      kb.ParallelFor("x", halo, x_end, 1, [&](Val x) {
+        EmitScalarPoint(kb, in, filt, out, x, y, d);
+      });
     });
     return kb.Build();
   }

@@ -179,8 +179,8 @@ class DmmmBenchmark final : public Benchmark {
     Val n = kb.ArgScalar("n", kir::ScalarType::kI32);
     detail::Chunk chunk = detail::ThreadChunk(kb, n);  // rows of C
     kb.For("i", chunk.start, chunk.end, 1, [&](Val i) {
-      kb.For("j", kb.ConstI(kir::I32(), 0), n, 1,
-             [&](Val j) { EmitScalarOutput(kb, a, b, c, i, j, n); });
+      kb.ParallelFor("j", kb.ConstI(kir::I32(), 0), n, 1,
+                     [&](Val j) { EmitScalarOutput(kb, a, b, c, i, j, n); });
     });
     return kb.Build();
   }

@@ -341,7 +341,7 @@ class NbodyBenchmark final : public Benchmark {
     Val n = kb.ArgScalar("n", kir::ScalarType::kI32);
     if (cpu_chunked) {
       detail::Chunk chunk = detail::ThreadChunk(kb, n);
-      kb.For("i", chunk.start, chunk.end, 1, [&](Val i) {
+      kb.ParallelFor("i", chunk.start, chunk.end, 1, [&](Val i) {
         EmitBody(kb, bodies, vel, out_pos, out_vel, i, n, flavor);
       });
     } else {

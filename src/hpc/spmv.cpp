@@ -204,7 +204,7 @@ class SpmvBenchmark final : public Benchmark {
     auto y = kb.ArgBuffer("y", ft(), ArgKind::kBufferWO);
     Val n = kb.ArgScalar("n", kir::ScalarType::kI32);
     detail::Chunk chunk = detail::ThreadChunk(kb, n);
-    kb.For("row", chunk.start, chunk.end, 1, [&](Val row) {
+    kb.ParallelFor("row", chunk.start, chunk.end, 1, [&](Val row) {
       EmitRowBody(kb, row_ptr, col_idx, vals, x, y, row);
     });
     return kb.Build();

@@ -201,7 +201,7 @@ class Stencil3DBenchmark final : public Benchmark {
     Val z_end = kb.Binary(Opcode::kAdd, chunk.end, one);
     kb.For("z", z_start, z_end, 1, [&](Val z) {
       kb.For("y", one, dm1, 1, [&](Val y) {
-        kb.For("x", one, dm1, 1, [&](Val x) {
+        kb.ParallelFor("x", one, dm1, 1, [&](Val x) {
           EmitPoint(kb, in, out, x, y, z, d, d2, c0, c1);
         });
       });

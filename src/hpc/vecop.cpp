@@ -156,7 +156,7 @@ class VecopBenchmark final : public Benchmark {
     auto c = kb.ArgBuffer("c", ft(), ArgKind::kBufferWO);
     Val n = kb.ArgScalar("n", kir::ScalarType::kI32);
     detail::Chunk chunk = detail::ThreadChunk(kb, n);
-    kb.For("i", chunk.start, chunk.end, 1, [&](Val i) {
+    kb.ParallelFor("i", chunk.start, chunk.end, 1, [&](Val i) {
       kb.Store(c, i, kb.Load(a, i) + kb.Load(b, i));
     });
     return kb.Build();

@@ -294,9 +294,9 @@ void KernelBuilder::AtomicAdd(BufferRef buf, Val index, Val value,
 
 void KernelBuilder::Barrier() { Emit(Opcode::kBarrier); }
 
-void KernelBuilder::For(const std::string& var_name, Val start, Val end,
-                        std::int64_t step,
-                        const std::function<void(Val)>& body) {
+void KernelBuilder::Loop(const std::string& var_name, Val start, Val end,
+                         std::int64_t step, bool parallel,
+                         const std::function<void(Val)>& body) {
   CheckOwned(start);
   CheckOwned(end);
   const RegId var = NewReg(I32(), var_name);
@@ -306,8 +306,21 @@ void KernelBuilder::For(const std::string& var_name, Val start, Val end,
   in.a = start.reg();
   in.b = end.reg();
   in.imm = step;
+  in.parallel = parallel;
   body(Val(this, var, I32()));
   Emit(Opcode::kLoopEnd);
+}
+
+void KernelBuilder::For(const std::string& var_name, Val start, Val end,
+                        std::int64_t step,
+                        const std::function<void(Val)>& body) {
+  Loop(var_name, start, end, step, /*parallel=*/false, body);
+}
+
+void KernelBuilder::ParallelFor(const std::string& var_name, Val start,
+                                Val end, std::int64_t step,
+                                const std::function<void(Val)>& body) {
+  Loop(var_name, start, end, step, /*parallel=*/true, body);
 }
 
 void KernelBuilder::For(const std::string& var_name, std::int64_t start,

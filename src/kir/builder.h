@@ -132,6 +132,12 @@ class KernelBuilder {
            const std::function<void(Val)>& body);
   void For(const std::string& var_name, std::int64_t start, Val end,
            std::int64_t step, const std::function<void(Val)>& body);
+  /// For whose iterations are independent, like the loop an OpenMP
+  /// `parallel for` splits: the same instructions as For, marked so the VM
+  /// may run several iterations in lockstep. Build() rejects a body that
+  /// breaks the contract (VerifyParallelLoop in program.h).
+  void ParallelFor(const std::string& var_name, Val start, Val end,
+                   std::int64_t step, const std::function<void(Val)>& body);
   /// Manually unrolled loop: the body is emitted `factor` times per main-loop
   /// iteration (i, i+step, ..., i+(factor-1)*step) followed by a remainder
   /// loop — the §III-B "loop unrolling" optimization, code replication and
@@ -154,6 +160,8 @@ class KernelBuilder {
   RegId NewReg(Type type, const std::string& name = "");
   Instr& Emit(Opcode op);
   Val Builtin(Opcode op, int dim);
+  void Loop(const std::string& var_name, Val start, Val end, std::int64_t step,
+            bool parallel, const std::function<void(Val)>& body);
   void CheckOwned(Val v) const;
 
   Program program_;

@@ -222,6 +222,19 @@ class MemRecorder {
     if (++size_ == kChunkEvents) Flush();
   }
 
+  /// Room for the next `n` events (n <= kChunkEvents) in the current
+  /// chunk, handing the chunk to the consumer first when fewer slots are
+  /// left: the caller writes all `n` at the returned pointer. A VM lane
+  /// batch's commit moves its buffered events this way. (Where a chunk
+  /// ends never matters to a consumer: it sees the same events in the
+  /// same order.)
+  MemEvent* Append(std::size_t n) {
+    if (kChunkEvents - size_ < n) Flush();
+    MemEvent* const out = chunk_.get() + size_;
+    size_ += n;
+    return out;
+  }
+
   /// Hands the pending events, if any, to the consumer.
   void Flush();
 

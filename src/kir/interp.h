@@ -20,6 +20,36 @@
 
 namespace malisim::kir {
 
+/// Why a VM lane batch rolled back and re-ran its lanes one at a time
+/// (DESIGN.md §16).
+enum class Rollback : int {
+  kRace = 0,   // a lane touched bytes another lane stored to
+  kFault,      // a lane faulted (the one-at-a-time re-run reports it)
+  kEventCap,   // a lane's event buffer filled
+  kSplit,      // lanes reached a barrier apart, or diverged too deeply
+  kNumReasons,
+};
+
+inline constexpr int kNumRollbackReasons =
+    static_cast<int>(Rollback::kNumReasons);
+
+/// How much of a run the VM executed in lane batches. Host-side
+/// observability only: it never feeds a modelled number.
+struct BatchStats {
+  std::uint64_t lane_instructions = 0;  // bytecode instructions x lanes
+  std::uint64_t full_width = 0;  // ... of those, run with every lane of a
+                                 // full batch active
+  std::uint64_t rollbacks[kNumRollbackReasons] = {};
+
+  void MergeFrom(const BatchStats& other) {
+    lane_instructions += other.lane_instructions;
+    full_width += other.full_width;
+    for (int r = 0; r < kNumRollbackReasons; ++r) {
+      rollbacks[r] += other.rollbacks[r];
+    }
+  }
+};
+
 /// Host-wall-time attribution sink for the self-profiler (obs::HostProf).
 /// Same layering idiom as the opcode tally: a POD of raw pointers so kir
 /// stays free of obs types, null by default so the hot loop pays one
@@ -39,6 +69,7 @@ struct HostTimeSink {
   std::int32_t last_pc = -1;    // pc captured at the previous tick
   std::uint64_t samples = 0;    // clock reads taken (self-cost estimate)
   std::uint64_t steps = 0;      // steps covered by attributed windows
+  BatchStats batches;           // the VM adds its batch counts per group
 };
 
 /// Cold path of the host-time sampler: reads the clock, attributes the

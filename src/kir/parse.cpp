@@ -384,6 +384,10 @@ class Parser {
           return Err(lineno, "loop missing step=");
         }
         instr.imm = std::strtoll(tokens[pos++].c_str() + 5, nullptr, 10);
+        if (pos < tokens.size() && tokens[pos] == "parallel") {
+          instr.parallel = true;
+          ++pos;
+        }
         break;
     }
     if (pos != tokens.size()) {

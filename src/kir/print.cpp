@@ -111,6 +111,7 @@ std::string ToText(const Program& p) {
         break;
       case Opcode::kLoopBegin:
         out += " step=" + std::to_string(in.imm);
+        if (in.parallel) out += " parallel";
         break;
       default:
         break;

@@ -30,6 +30,10 @@ struct Instr {
   RegId b = kNoReg;
   RegId c = kNoReg;
   std::uint8_t slot = 0;  // memory object slot for load/store/atomic
+  /// kLoopBegin only: a ParallelFor loop, whose iterations are independent
+  /// (VerifyParallelLoop), so the VM may run several of them in lockstep.
+  /// Same source instructions and the same semantics as a plain loop.
+  bool parallel = false;
   std::int64_t imm = 0;   // element offset / lane index / dim / step / arg slot
   double fimm = 0.0;      // kConstF immediate
   // Filled in by Program::Finalize():
@@ -93,7 +97,18 @@ class Program {
 };
 
 /// Structural and type validation; returns the first violation found.
+/// Includes VerifyParallelLoop for every ParallelFor loop.
 Status Verify(const Program& program);
+
+/// The ParallelFor contract for the loop opened at `loop_begin` (a
+/// finalized kLoopBegin): its body holds no barrier, never writes the loop
+/// variable or bound, reads no register that an earlier iteration wrote
+/// (every register the body writes is written on the path before the body
+/// reads it), and nothing that runs after the loop — code past its end, or
+/// earlier code inside an enclosing loop — reads a register the loop
+/// writes. Under it, running the iterations in any interleaving leaves
+/// every register a later instruction reads as the sequential loop would.
+Status VerifyParallelLoop(const Program& program, std::uint32_t loop_begin);
 
 /// Disassembly listing for debugging and golden tests.
 std::string ToText(const Program& program);

@@ -123,6 +123,28 @@ template <typename T>
 constexpr T WrapNeg(T a) {
   return WrapSub(T{0}, a);
 }
+/// |a|, with abs(MIN) == MIN: the bit pattern of OpenCL's unsigned abs().
+template <typename T>
+constexpr T WrapAbs(T a) {
+  return a < 0 ? WrapNeg(a) : a;
+}
+
+/// Float -> integer conversion with saturation: out-of-range values clamp
+/// to the target's MIN/MAX and NaN converts to 0, the rule of OpenCL's
+/// convert_<int>_sat and the A15's VCVT. (A plain static_cast of such a
+/// value is undefined behaviour.) Every f32 source is widened to double
+/// first, exactly.
+template <typename I>
+constexpr I SatConvert(double v) {
+  if (v != v) return I{0};
+  if (v >= static_cast<double>(std::numeric_limits<I>::max())) {
+    return std::numeric_limits<I>::max();
+  }
+  if (v <= static_cast<double>(std::numeric_limits<I>::min())) {
+    return std::numeric_limits<I>::min();
+  }
+  return static_cast<I>(v);
+}
 
 /// True when a / b or a % b has no representable quotient (MIN / -1). It
 /// traps on the host, so KIR faults on it like on a zero divisor.

@@ -29,7 +29,129 @@ Status Fail(std::uint32_t index, const Instr& instr, const std::string& what) {
                               std::string(OpcodeName(instr.op)) + "): " + what);
 }
 
+/// Calls fn(reg) for every register instruction `i` reads, including the
+/// loop variable and bound a kLoopEnd reads through its kLoopBegin.
+template <typename Fn>
+void ForEachRead(const Program& p, std::uint32_t i, Fn&& fn) {
+  const Instr& in = p.code[i];
+  for (RegId r : {in.a, in.b, in.c}) {
+    if (r != kNoReg) fn(r);
+  }
+  if (in.op == Opcode::kLoopEnd) {
+    const Instr& begin = p.code[in.match];
+    fn(begin.dst);
+    fn(begin.b);
+  }
+}
+
+std::string RegLabel(const Program& p, RegId r) {
+  return p.regs[r].name.empty() ? "r" + std::to_string(r)
+                                : "%" + p.regs[r].name;
+}
+
 }  // namespace
+
+Status VerifyParallelLoop(const Program& p, std::uint32_t loop_begin) {
+  const Instr& loop = p.code[loop_begin];
+  const std::uint32_t loop_end = loop.match;
+  const std::size_t num_regs = p.regs.size();
+  auto fail = [&](std::uint32_t i, const std::string& what) {
+    return Fail(i, p.code[i], "parallel loop at " +
+                                  std::to_string(loop_begin) + " " + what);
+  };
+
+  // Registers the loop writes: every body destination, plus the variable.
+  std::vector<char> written(num_regs, 0);
+  written[loop.dst] = 1;
+  for (std::uint32_t i = loop_begin + 1; i < loop_end; ++i) {
+    const Instr& in = p.code[i];
+    if (in.op == Opcode::kBarrier) return fail(i, "holds a barrier");
+    if (in.dst == kNoReg) continue;
+    if (in.dst == loop.dst || in.dst == loop.b) {
+      return fail(i, "writes its loop variable or bound");
+    }
+    written[in.dst] = 1;
+  }
+
+  // Definite assignment through the body: a written register may only be
+  // read once this iteration has written it on every path to the read.
+  // The loop variable is the one value each iteration gets from outside.
+  std::vector<char> assigned(num_regs, 0);
+  assigned[loop.dst] = 1;
+  struct Open {
+    Opcode op;
+    std::vector<char> on_entry;  // state at the construct's entry
+    std::vector<char> then_out;  // if-else: state at the end of `then`
+  };
+  std::vector<Open> open;
+  for (std::uint32_t i = loop_begin + 1; i < loop_end; ++i) {
+    const Instr& in = p.code[i];
+    Status st = Status::Ok();
+    ForEachRead(p, i, [&](RegId r) {
+      if (st.ok() && written[r] && !assigned[r]) {
+        st = fail(i, "reads " + RegLabel(p, r) +
+                         " before this iteration writes it, so it sees an "
+                         "earlier iteration's value");
+      }
+    });
+    MALI_RETURN_IF_ERROR(st);
+    switch (in.op) {
+      case Opcode::kLoopBegin:
+        assigned[in.dst] = 1;  // written even when the loop runs no trip
+        open.push_back({in.op, assigned, {}});
+        break;
+      case Opcode::kIfBegin:
+        open.push_back({in.op, assigned, {}});
+        break;
+      case Opcode::kElse:
+        open.back().then_out = assigned;
+        assigned = open.back().on_entry;
+        break;
+      case Opcode::kLoopEnd:
+        assigned = open.back().on_entry;  // the body may run no trip
+        open.pop_back();
+        break;
+      case Opcode::kIfEnd: {
+        const Open& ifo = open.back();
+        if (ifo.then_out.empty()) {
+          assigned = ifo.on_entry;  // the then-body may not run
+        } else {
+          for (std::size_t r = 0; r < num_regs; ++r) {
+            assigned[r] = assigned[r] && ifo.then_out[r];
+          }
+        }
+        open.pop_back();
+        break;
+      }
+      default:
+        if (in.dst != kNoReg) assigned[in.dst] = 1;
+        break;
+    }
+  }
+
+  // Nothing that runs after the loop may read what it wrote: code past its
+  // end, and code before it inside an enclosing loop (the next trip).
+  std::uint32_t after_from = loop_begin;
+  for (std::uint32_t i = 0; i < loop_begin; ++i) {
+    if (p.code[i].op == Opcode::kLoopBegin && p.code[i].match > loop_end) {
+      after_from = i;
+      break;
+    }
+  }
+  for (std::uint32_t i = after_from; i < p.code.size(); ++i) {
+    if (i == loop_begin) i = loop_end + 1;
+    if (i >= p.code.size()) break;
+    Status st = Status::Ok();
+    ForEachRead(p, i, [&](RegId r) {
+      if (st.ok() && written[r]) {
+        st = fail(i, "writes " + RegLabel(p, r) +
+                         ", which is read after the loop");
+      }
+    });
+    MALI_RETURN_IF_ERROR(st);
+  }
+  return Status::Ok();
+}
 
 Status Verify(const Program& p) {
   if (!p.finalized()) {
@@ -296,6 +418,12 @@ Status Verify(const Program& p) {
         break;
       case Opcode::kNumOpcodes:
         return Fail(i, in, "invalid opcode");
+    }
+  }
+  // ParallelFor contracts, once every register id is known to be valid.
+  for (std::uint32_t i = 0; i < p.code.size(); ++i) {
+    if (p.code[i].op == Opcode::kLoopBegin && p.code[i].parallel) {
+      MALI_RETURN_IF_ERROR(VerifyParallelLoop(p, i));
     }
   }
   return Status::Ok();

@@ -1,14 +1,16 @@
 // KIR bytecode: the compile-once, run-many execution format (DESIGN.md §16).
 //
 // A verified kir::Program is lowered once by CompileProgram() into a flat
-// stream of pre-decoded VInstrs — operands resolved to compacted register
-// ids, scalar types burned into the opcode (no per-step type switch),
-// structured control flow (loop/if markers) resolved to absolute branch
-// targets, hot adjacent pairs fused into superinstructions (compare+branch,
+// stream of pre-decoded VInstrs — operands resolved to offsets in a compact
+// register frame (each register sized from its type), scalar types burned
+// into the opcode (no per-step type switch), structured control flow
+// (loop/if markers) resolved to absolute branch targets and reconvergence
+// points, hot adjacent pairs fused into superinstructions (compare+branch,
 // trailing-move absorption, reduction back-edges, load+consumer), and
 // load/store element sizes strength-reduced to shifts.
-// The VmExecutor in vm.h then dispatches the stream with a single dense
-// switch per instruction.
+// The VmExecutor in vm.h then dispatches the stream once per instruction
+// for a batch of lanes: work-items of one work-group, or iterations of a
+// ParallelFor loop.
 //
 // Accounting contract: the bytecode never loses source-level identity.
 // Every VInstr carries side tables mapping it back to the source program —
@@ -51,7 +53,7 @@ enum class VOp : std::uint8_t {
              // 6-8 group id
   kLaunch,   // dst.i32[0] <- launch word [imm]; 0-2 global size, 3-5 local
              // size, 6-8 num groups
-  kMov,      // dst <- a (full register copy)
+  kMov,      // dst <- a (access_bytes = the register's bytes)
   kCvt,      // dst <- convert(a); aux8 = (from_scalar << 2) | to_scalar
   MALISIM_VM_TYPED4(kArg),  // dst lane 0 <- scalar arg [imm]
   MALISIM_VM_TYPED4(kAdd),
@@ -86,13 +88,15 @@ enum class VOp : std::uint8_t {
   MALISIM_VM_TYPED4(kCmpNe),
   // Fused scalar compare + kIfBegin: branch to `target` when the condition
   // is FALSE. Counts as two source instructions (see TallySlot / weight).
+  // imm is the if's reconvergence vpc: its kIfEnd when it has an else,
+  // otherwise `target`.
   MALISIM_VM_TYPED4(kCmpBrLt),
   MALISIM_VM_TYPED4(kCmpBrLe),
   MALISIM_VM_TYPED4(kCmpBrEq),
   MALISIM_VM_TYPED4(kCmpBrNe),
   MALISIM_VM_TYPED4(kSelect),   // dst[l] = a.i32[l] ? b[l] : c[l]
   MALISIM_VM_TYPED4(kSplat),    // dst[l] = a[0]
-  MALISIM_VM_TYPED4(kExtract),  // dst[0] = a[imm]
+  MALISIM_VM_TYPED4(kExtract),  // dst[0] = a[imm]; aux8 = a's lanes
   MALISIM_VM_TYPED4(kInsert),   // dst = a; dst[imm] = b[0]
   MALISIM_VM_TYPED4(kSlide),    // dst[l] = concat(a, b)[l + imm]
   MALISIM_VM_TYPED4(kVSum),     // dst[0] = sum over aux8 source lanes of a
@@ -103,8 +107,15 @@ enum class VOp : std::uint8_t {
   kLoopBegin,     // dst.i32[0] = a.i32[0]; if >= b.i32[0] jump target
   kLoopEnd,       // dst.i32[0] += imm; if < b.i32[0] jump target (dst/b/imm
                   // copied from the matching kLoopBegin at compile time)
+  // A ParallelFor loop's markers: kLoopBegin/kLoopEnd semantics, plus
+  // access_bytes = index into CompiledProgram::par_loops on the begin. A
+  // one-lane run executes the loop's iterations as lane batches; inside a
+  // batch they are plain loop markers. Never fused.
+  kParLoopBegin,
+  kParLoopEnd,
   kJump,          // unconditional jump to target (source kElse)
-  kBrZero,        // if a.i32[0] == 0 jump target (unfused kIfBegin)
+  kBrZero,        // if a.i32[0] == 0 jump target (unfused kIfBegin); imm is
+                  // the if's reconvergence vpc, as for kCmpBr*
   // Fused reduction back-edge: the arithmetic op (dst/a/b/c as usual),
   // then the matching kLoopEnd's counter step and conditional jump. The
   // loop counter and bound registers are packed into access_bytes
@@ -135,6 +146,12 @@ enum class VOp : std::uint8_t {
 
 #undef MALISIM_VM_TYPED4
 
+/// A register operand: the register's offset in a one-lane frame, in
+/// 4-byte units (0 is the unused-operand slot). A W-lane frame holds each
+/// register as W consecutive one-lane values, so lane l of register u
+/// starts at byte (u * 4 * W + l * bytes-of-the-register).
+using RegOff = std::uint16_t;
+
 /// One pre-decoded bytecode instruction. 32 bytes, fixed-size for dispatch
 /// locality (same motivation as kir::Instr, minus the fields the compiler
 /// already burned into `op`).
@@ -142,12 +159,12 @@ struct VInstr {
   VOp op = VOp::kNop;
   std::uint8_t lanes = 1;
   std::uint8_t slot = 0;  // memory slot index (load/store/atomic)
-  std::uint8_t aux8 = 0;  // elem-size shift (mem) / src lanes (vsum) /
-                          // (from << 2) | to (cvt)
-  RegId dst = kNoReg;
-  RegId a = kNoReg;
-  RegId b = kNoReg;
-  RegId c = kNoReg;
+  std::uint8_t aux8 = 0;  // elem-size shift (mem) / src lanes (vsum,
+                          // extract) / (from << 2) | to (cvt)
+  RegOff dst = 0;
+  RegOff a = 0;
+  RegOff b = 0;
+  RegOff c = 0;
   std::uint32_t target = 0;       // branch target vpc / const-pool index /
                                   // fused-load idx | dst << 16
   std::uint32_t access_bytes = 0; // lanes * elem bytes (mem ops, kConst) /
@@ -167,6 +184,19 @@ struct TallySlot {
   Opcode op = Opcode::kMov;   // source opcode (per-opcode tally key)
 };
 
+/// One register's place in a one-lane frame.
+struct RegSpan {
+  RegOff reg = 0;
+  std::uint16_t bytes = 0;
+};
+
+/// One ParallelFor loop (a kParLoopBegin's access_bytes indexes these).
+struct ParLoop {
+  std::uint32_t end_vpc = 0;  // its kParLoopEnd
+  std::uint32_t live_begin = 0;  // [live_begin, live_end) in par_live_in
+  std::uint32_t live_end = 0;
+};
+
 /// The immutable result of CompileProgram(). Shareable across executors and
 /// threads (and memoized by mali::CompileCache): nothing here is mutated by
 /// execution.
@@ -174,8 +204,9 @@ struct CompiledProgram {
   std::string name;             // source program name (fault messages)
   std::uint32_t source_len = 0; // source code size; executors sanity-check
                                 // the bytecode matches their program
-  std::uint32_t num_regs = 0;   // compacted register-file size, slot 0
-                                // reserved (kNoReg), like the source file
+  std::uint32_t frame_bytes = 0;  // one lane's register frame, a multiple
+                                  // of 8; bytes [0, 8) are the unused slot
+  std::uint32_t max_nesting = 0;  // deepest loop/if nesting
   bool has_barrier = false;
 
   std::vector<VInstr> code;
@@ -187,6 +218,15 @@ struct CompiledProgram {
                                       // fused source instr, 0 for barriers
   std::vector<std::uint32_t> tally_begin;  // code.size()+1 offsets into
   std::vector<TallySlot> tally_slots;      // ...this flat span store
+
+  std::vector<RegSpan> frame_regs;  // every register in the frame
+  /// The registers an item may read before writing them: the only ones a
+  /// new item's frame zeroes (the oracle zeroes every register).
+  std::vector<RegSpan> zero_regs;
+  std::vector<ParLoop> par_loops;
+  /// Per ParallelFor loop, the registers its body reads but never writes:
+  /// broadcast from the one-lane frame into every lane of a batch.
+  std::vector<RegSpan> par_live_in;
 };
 
 /// Lowers a finalized program into bytecode. Pure function of the program:

@@ -13,12 +13,17 @@
 //      the opcode, constants pre-broadcast into the pool, load/store element
 //      sizes strength-reduced to shifts, side tables recording the
 //      source-pc / weight / tally mapping;
-//   4. branch patching — source targets rewritten through the src→vpc map;
-//   5. register compaction — referenced registers renumbered densely so the
-//      per-item register file (and the barrier path's per-group memset)
-//      shrinks to what the bytecode actually touches.
+//   4. branch patching — source targets and if reconvergence points
+//      rewritten through the src→vpc map;
+//   5. register layout — each register the bytecode references gets an
+//      offset in a compact one-lane frame, sized from its type (a batch of
+//      W lanes holds W such values per register, side by side); the
+//      registers an item may read before writing them are listed for
+//      zeroing, and each ParallelFor loop gets the list of registers its
+//      body reads from outside.
 #include "kir/vm/bytecode.h"
 
+#include <algorithm>
 #include <bit>
 #include <cstring>
 #include <utility>
@@ -173,11 +178,19 @@ StatusOr<std::shared_ptr<const CompiledProgram>> CompileProgram(
   const std::uint32_t n = static_cast<std::uint32_t>(program.code.size());
   const std::size_t num_src_regs = program.regs.size();
 
-  // Pass 1+2: branch targets and the mask-register census.
+  // Pass 1+2: branch targets, nesting depth and the mask-register census.
   std::vector<char> is_target(n + 1, 0);
   std::vector<std::uint32_t> defs(num_src_regs, 0);
   std::vector<std::uint32_t> uses(num_src_regs, 0);
+  std::uint32_t depth = 0;
+  std::uint32_t max_nesting = 0;
   for (const Instr& in : program.code) {
+    if (in.op == Opcode::kLoopBegin || in.op == Opcode::kIfBegin) {
+      max_nesting = std::max(max_nesting, ++depth);
+    } else if ((in.op == Opcode::kLoopEnd || in.op == Opcode::kIfEnd) &&
+               depth > 0) {
+      --depth;
+    }
     if (in.dst >= num_src_regs || in.a >= num_src_regs ||
         in.b >= num_src_regs || in.c >= num_src_regs) {
       return InternalError("register id out of range in kernel '" +
@@ -213,9 +226,20 @@ StatusOr<std::shared_ptr<const CompiledProgram>> CompileProgram(
     }
   }
 
+  // ParallelFor loops the VM may batch: the contract is re-checked here so
+  // an unverified program can never be batched wrongly (it then runs as a
+  // plain loop, which is always correct).
+  std::vector<char> par_loop(n, 0);
+  for (std::uint32_t i = 0; i < n; ++i) {
+    const Instr& in = program.code[i];
+    par_loop[i] = in.op == Opcode::kLoopBegin && in.parallel &&
+                  VerifyParallelLoop(program, i).ok();
+  }
+
   auto cp = std::make_shared<CompiledProgram>();
   cp->name = program.name;
   cp->source_len = n;
+  cp->max_nesting = max_nesting;
   cp->has_barrier = program.has_barrier();
   cp->code.reserve(n);
   cp->src_pc.reserve(n);
@@ -241,7 +265,16 @@ StatusOr<std::shared_ptr<const CompiledProgram>> CompileProgram(
     std::uint32_t src_target;
   };
   std::vector<Patch> patches;
+  std::vector<Patch> reconv_patches;  // into imm: an if's reconvergence vpc
   std::vector<std::uint32_t> vpc_of(n + 1, 0);
+  // Where lanes that split at the if opened at `i` meet again: its kIfEnd
+  // when it has an else (both paths execute it), else just past it.
+  auto if_reconv = [&](std::uint32_t i) {
+    const Instr& br = program.code[i];
+    return program.code[br.match].op == Opcode::kElse
+               ? program.code[br.match].match
+               : br.match + 1;
+  };
 
   // Pass 3: lowering.
   for (std::uint32_t i = 0; i < n;) {
@@ -275,6 +308,7 @@ StatusOr<std::shared_ptr<const CompiledProgram>> CompileProgram(
       v.c = kNoReg;
       v.target = 0;
       patches.push_back({vpc, br.match + 1});
+      reconv_patches.push_back({vpc, if_reconv(i + 1)});
       weight = 2;
       v.weight = weight;
       cp->tally_slots.push_back(
@@ -358,6 +392,7 @@ StatusOr<std::shared_ptr<const CompiledProgram>> CompileProgram(
         break;
       case Opcode::kMov:
         v.op = VOp::kMov;
+        v.access_bytes = in.type.bytes();
         break;
       case Opcode::kAdd:
         v.op = Typed4(VOp::kAddF32, in.type.scalar);
@@ -456,6 +491,7 @@ StatusOr<std::shared_ptr<const CompiledProgram>> CompileProgram(
         break;
       case Opcode::kExtract:
         v.op = Typed4(VOp::kExtractF32, in.type.scalar);
+        v.aux8 = program.regs[in.a].type.lanes;
         break;
       case Opcode::kInsert:
         v.op = Typed4(VOp::kInsertF32, in.type.scalar);
@@ -489,11 +525,16 @@ StatusOr<std::shared_ptr<const CompiledProgram>> CompileProgram(
         break;
       case Opcode::kLoopBegin:
         v.op = VOp::kLoopBegin;
+        if (par_loop[i]) {
+          v.op = VOp::kParLoopBegin;
+          v.access_bytes = static_cast<std::uint32_t>(cp->par_loops.size());
+          cp->par_loops.push_back({});  // filled in after lowering
+        }
         patches.push_back({vpc, in.match + 1});
         break;
       case Opcode::kLoopEnd: {
         const Instr& begin = program.code[in.match];
-        v.op = VOp::kLoopEnd;
+        v.op = par_loop[in.match] ? VOp::kParLoopEnd : VOp::kLoopEnd;
         v.dst = begin.dst;
         v.b = begin.b;
         v.imm = begin.imm;
@@ -503,6 +544,7 @@ StatusOr<std::shared_ptr<const CompiledProgram>> CompileProgram(
       case Opcode::kIfBegin:
         v.op = VOp::kBrZero;
         patches.push_back({vpc, in.match + 1});
+        reconv_patches.push_back({vpc, if_reconv(i)});
         break;
       case Opcode::kElse:
         v.op = VOp::kJump;
@@ -547,7 +589,8 @@ StatusOr<std::shared_ptr<const CompiledProgram>> CompileProgram(
           v.access_bytes ==
               (static_cast<std::uint32_t>(v.lanes) << v.aux8))) &&
         i + consumed < n && !is_target[i + consumed] &&
-        program.code[i + consumed].op == Opcode::kLoopEnd) {
+        program.code[i + consumed].op == Opcode::kLoopEnd &&
+        !par_loop[program.code[i + consumed].match]) {
       const Instr& le = program.code[i + consumed];
       const Instr& begin = program.code[le.match];
       switch (v.op) {
@@ -597,10 +640,15 @@ StatusOr<std::shared_ptr<const CompiledProgram>> CompileProgram(
       v.target = vpc_of[p.src_target];
     }
   }
+  for (const Patch& p : reconv_patches) {
+    cp->code[p.vidx].imm = vpc_of[p.src_target];
+  }
 
-  // Pass 5: dense register renumbering (register 0 stays the null reg).
-  // Fused superinstructions carry two extra register ids packed into a
-  // spare 32-bit field (see bytecode.h); those participate like any other
+  // Pass 5: register layout. Every register an operand names gets an
+  // offset in 4-byte units, in register order; 8-byte scalars are aligned
+  // to 8 bytes. Units 0-1 are the unused-operand slot. Fused
+  // superinstructions carry two extra register ids packed into a spare
+  // 32-bit field (see bytecode.h); those participate like any other
   // operand.
   std::vector<char> used(num_src_regs, 0);
   for (const VInstr& v : cp->code) {
@@ -614,27 +662,125 @@ StatusOr<std::shared_ptr<const CompiledProgram>> CompileProgram(
       used[v.target & 0xffff] = used[v.target >> 16] = 1;
     }
   }
-  std::vector<RegId> remap(num_src_regs, kNoReg);
-  RegId next = 1;
+  std::vector<std::uint32_t> unit_of(num_src_regs, 0);
+  std::uint32_t units = 2;
   for (std::size_t r = 1; r < num_src_regs; ++r) {
-    if (used[r]) remap[r] = next++;
+    if (!used[r]) continue;
+    const Type t = program.regs[r].type;
+    if (ScalarBytes(t.scalar) == 8) units = (units + 1) & ~1u;
+    unit_of[r] = units;
+    cp->frame_regs.push_back({static_cast<RegOff>(units),
+                              static_cast<std::uint16_t>(t.bytes())});
+    units += t.bytes() / 4;
   }
+  units = (units + 1) & ~1u;
+  if (units > 0xffff) {
+    return InternalError("register frame too large in kernel '" +
+                         program.name + "'");
+  }
+  cp->frame_bytes = units * 4;
+  auto off = [&](std::uint32_t r) { return static_cast<RegOff>(unit_of[r]); };
   for (VInstr& v : cp->code) {
-    v.dst = remap[v.dst];
-    v.a = remap[v.a];
-    v.b = remap[v.b];
-    v.c = remap[v.c];
+    v.dst = off(v.dst);
+    v.a = off(v.a);
+    v.b = off(v.b);
+    v.c = off(v.c);
     if (IsBackedgeFused(v.op)) {
-      v.access_bytes =
-          static_cast<std::uint32_t>(remap[v.access_bytes & 0xffff]) |
-          (static_cast<std::uint32_t>(remap[v.access_bytes >> 16]) << 16);
+      v.access_bytes = static_cast<std::uint32_t>(off(v.access_bytes & 0xffff)) |
+                       (static_cast<std::uint32_t>(off(v.access_bytes >> 16)) << 16);
     }
     if (IsLoadFused(v.op)) {
-      v.target = static_cast<std::uint32_t>(remap[v.target & 0xffff]) |
-                 (static_cast<std::uint32_t>(remap[v.target >> 16]) << 16);
+      v.target = static_cast<std::uint32_t>(off(v.target & 0xffff)) |
+                 (static_cast<std::uint32_t>(off(v.target >> 16)) << 16);
     }
   }
-  cp->num_regs = next;
+
+  // Registers an item may read before writing them start at zero, like
+  // the oracle's zeroed register file; only these are zeroed per item. A
+  // write covers the reads after it up to the end of its block (the loop
+  // body, then- or else-part it sits in, or the program), so a register
+  // needs zeroing when some read comes first or lies past every block that
+  // an earlier write of it covers.
+  {
+    std::vector<char> seen(num_src_regs, 0);
+    std::vector<char> needs_zero(num_src_regs, 0);
+    std::vector<std::uint32_t> covered_to(num_src_regs, 0);
+    std::vector<std::uint32_t> block_end = {n};
+    for (std::uint32_t i = 0; i < n; ++i) {
+      const Instr& in = program.code[i];
+      auto read = [&](RegId r) {
+        if (r != kNoReg && (!seen[r] || i > covered_to[r])) needs_zero[r] = 1;
+      };
+      read(in.a);
+      read(in.b);
+      read(in.c);
+      if (in.op == Opcode::kLoopEnd) {
+        read(program.code[in.match].dst);
+        read(program.code[in.match].b);
+      }
+      if (in.dst != kNoReg) {
+        covered_to[in.dst] =
+            seen[in.dst] ? std::max(covered_to[in.dst], block_end.back())
+                         : block_end.back();
+        seen[in.dst] = 1;
+      }
+      switch (in.op) {
+        case Opcode::kLoopBegin:
+          block_end.push_back(in.match);
+          break;
+        case Opcode::kIfBegin:
+          // The then-part ends at the else, if any, else at the if-end.
+          block_end.push_back(in.match);
+          break;
+        case Opcode::kElse:
+          block_end.back() = in.match;
+          break;
+        case Opcode::kLoopEnd:
+        case Opcode::kIfEnd:
+          block_end.pop_back();
+          break;
+        default:
+          break;
+      }
+    }
+    for (std::size_t r = 1; r < num_src_regs; ++r) {
+      if (needs_zero[r] && used[r]) {
+        cp->zero_regs.push_back(
+            {off(static_cast<std::uint32_t>(r)),
+             static_cast<std::uint16_t>(program.regs[r].type.bytes())});
+      }
+    }
+  }
+
+  // ParallelFor live-ins: the registers a body reads and never writes (by
+  // the contract, everything else it reads it wrote first).
+  for (std::uint32_t i = 0; i < n; ++i) {
+    if (!par_loop[i]) continue;
+    const Instr& loop = program.code[i];
+    const VInstr& begin = cp->code[vpc_of[i]];
+    ParLoop& pl = cp->par_loops[begin.access_bytes];
+    pl.end_vpc = vpc_of[loop.match];
+    std::vector<char> written(num_src_regs, 0);
+    std::vector<char> read(num_src_regs, 0);
+    written[loop.dst] = 1;
+    for (std::uint32_t j = i + 1; j < loop.match; ++j) {
+      const Instr& in = program.code[j];
+      written[in.dst] = 1;
+      read[in.a] = read[in.b] = read[in.c] = 1;
+      if (in.op == Opcode::kLoopEnd) {
+        read[program.code[in.match].dst] = read[program.code[in.match].b] = 1;
+      }
+    }
+    pl.live_begin = static_cast<std::uint32_t>(cp->par_live_in.size());
+    for (std::size_t r = 1; r < num_src_regs; ++r) {
+      if (read[r] && !written[r] && used[r]) {
+        cp->par_live_in.push_back(
+            {off(static_cast<std::uint32_t>(r)),
+             static_cast<std::uint16_t>(program.regs[r].type.bytes())});
+      }
+    }
+    pl.live_end = static_cast<std::uint32_t>(cp->par_live_in.size());
+  }
 
   return std::shared_ptr<const CompiledProgram>(std::move(cp));
 }

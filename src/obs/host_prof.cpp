@@ -139,8 +139,11 @@ void HostProf::MergeInterp(const std::string& kernel,
   interp_ns_.fetch_add(total, std::memory_order_relaxed);
   interp_samples_.fetch_add(sink.samples, std::memory_order_relaxed);
   interp_steps_.fetch_add(sink.steps, std::memory_order_relaxed);
-  if (block_ns == nullptr) return;
   std::lock_guard<std::mutex> lock(blocks_mutex_);
+  if (sink.batches.lane_instructions != 0) {
+    batches_[kernel].MergeFrom(sink.batches);
+  }
+  if (block_ns == nullptr) return;
   for (std::size_t b = 0; b < blocks.size(); ++b) {
     if (block_ns[b] == 0) continue;
     BlockStat& stat = blocks_[{kernel, blocks[b].begin}];
@@ -178,7 +181,15 @@ HostProf::Snapshot HostProf::TakeSnapshot() const {
   {
     std::lock_guard<std::mutex> lock(blocks_mutex_);
     for (const auto& [key, stat] : blocks_) snapshot.blocks.push_back(stat);
+    for (const auto& [kernel, stats] : batches_) {
+      snapshot.batches.push_back({kernel, stats});
+    }
   }
+  std::stable_sort(snapshot.batches.begin(), snapshot.batches.end(),
+                   [](const BatchRow& a, const BatchRow& b) {
+                     return a.stats.lane_instructions >
+                            b.stats.lane_instructions;
+                   });
   std::sort(snapshot.blocks.begin(), snapshot.blocks.end(),
             [](const BlockStat& a, const BlockStat& b) {
               if (a.ns != b.ns) return a.ns > b.ns;
@@ -273,6 +284,30 @@ std::string HostProf::HotspotsTable(const Snapshot& snapshot,
                                  : 100.0 * static_cast<double>(b.ns) /
                                        static_cast<double>(snapshot.interp_ns),
                              1));
+    }
+    out << t.ToAscii();
+  }
+  if (!snapshot.batches.empty()) {
+    // full_width: the share of lane instructions run with a full batch;
+    // the rb_ columns count batches rolled back and re-run one lane at a
+    // time, by reason (DESIGN.md §16).
+    out << "\nVM lane batches (per kernel):\n";
+    Table t({"kernel", "lane_instrs", "full_width", "rb_race", "rb_fault",
+             "rb_event_cap", "rb_split"});
+    for (const BatchRow& row : snapshot.batches) {
+      const kir::BatchStats& b = row.stats;
+      t.BeginRow();
+      t.AddCell(row.kernel);
+      t.AddCell(std::to_string(b.lane_instructions));
+      t.AddCell(FormatDouble(
+          b.lane_instructions == 0
+              ? 0.0
+              : static_cast<double>(b.full_width) /
+                    static_cast<double>(b.lane_instructions),
+          3));
+      for (int r = 0; r < kir::kNumRollbackReasons; ++r) {
+        t.AddCell(std::to_string(b.rollbacks[r]));
+      }
     }
     out << t.ToAscii();
   }

@@ -13,7 +13,8 @@
 //    AttributedFraction().
 //  * Interpreter attribution (InterpProfile + kir::HostTimeSink): cheap
 //    sampled per-opcode / per-basic-block host-time attribution inside
-//    the KIR VM's dispatch loop. Period N reads the clock once per N
+//    the KIR VM's dispatch loop, plus the VM's per-kernel lane-batch
+//    counts (kir::BatchStats). Period N reads the clock once per N
 //    executed instructions and charges the window to the instruction live
 //    at the previous tick; period 1 is the exact-tally fallback. Selected via
 //    ObsOptions::{host_prof_exact, host_prof_period}.
@@ -114,10 +115,15 @@ class HostProf {
     std::uint32_t end = 0;
     std::uint64_t ns = 0;
   };
+  struct BatchRow {
+    std::string kernel;
+    kir::BatchStats stats;
+  };
   struct Snapshot {
     std::vector<PhaseStat> phases;    // indexed by HostPhase
     std::vector<OpcodeStat> opcodes;  // nonzero only, sorted by ns desc
     std::vector<BlockStat> blocks;    // sorted by ns desc
+    std::vector<BatchRow> batches;    // per kernel, by lane instructions desc
     std::uint64_t root_total_ns = 0;  // sum of top-level span time
     std::uint64_t interp_ns = 0;      // total attributed interpreter ns
     std::uint64_t interp_samples = 0;
@@ -135,7 +141,8 @@ class HostProf {
   /// was attributed.
   double SampleOverheadFraction() const;
 
-  /// Ranked phase/opcode/block table (the malisim-prof --hotspots body).
+  /// Ranked phase/opcode/block tables and the per-kernel VM lane-batch
+  /// table (the malisim-prof --hotspots body).
   static std::string HotspotsTable(const Snapshot& snapshot, double wall_sec);
 
   /// Collapsed-stack (Brendan Gregg flamegraph) dump. Two roots:
@@ -165,9 +172,11 @@ class HostProf {
   std::atomic<std::uint64_t> interp_ns_{0};
   std::atomic<std::uint64_t> interp_samples_{0};
   std::atomic<std::uint64_t> interp_steps_{0};
-  /// (kernel, block begin) -> BlockStat; cold path, mutex-protected.
+  /// (kernel, block begin) -> BlockStat and kernel -> lane-batch counts;
+  /// cold path, mutex-protected.
   mutable std::mutex blocks_mutex_;
   std::map<std::pair<std::string, std::uint32_t>, BlockStat> blocks_;
+  std::map<std::string, kir::BatchStats> batches_;
 };
 
 /// Per-launch interpreter sampling state: owns the op/block nanosecond

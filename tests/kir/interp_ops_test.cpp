@@ -1,9 +1,13 @@
 // Parameterized per-operation semantics sweep: every arithmetic opcode is
 // executed through a tiny kernel for each (scalar type, lane count)
 // combination and compared against the host computing the same expression.
+// The edge-value cases at the end run under both the VM and the reference
+// interpreter.
+#include <array>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <tuple>
 #include <vector>
 
@@ -12,6 +16,7 @@
 #include "common/prng.h"
 #include "kir/builder.h"
 #include "kir/interp.h"
+#include "reference_interp.h"
 
 namespace malisim::kir {
 namespace {
@@ -429,6 +434,111 @@ TEST(IntegerWrapTest, OverflowingDivisionIsAnError) {
       EXPECT_EQ(run.status().message(), "integer division overflow");
     }
   }
+}
+
+/// Runs `p`, which reads buffer 0 (`in`) and writes buffer 1 (`out_bytes`
+/// long), over `items` work-items in groups of 8, under the VM (index 0)
+/// and the reference interpreter (index 1); returns both output images.
+template <typename In>
+std::array<std::vector<std::byte>, 2> RunOnBothEngines(
+    const Program& p, std::vector<In> in, std::size_t out_bytes,
+    std::uint64_t items) {
+  std::array<std::vector<std::byte>, 2> outs;
+  LaunchConfig config;
+  config.global_size = {items, 1, 1};
+  config.local_size = {8, 1, 1};
+  for (int engine = 0; engine < 2; ++engine) {
+    std::vector<std::byte>& out = outs[static_cast<std::size_t>(engine)];
+    out.assign(out_bytes, std::byte{0x5a});
+    Bindings b;
+    b.buffers = {{reinterpret_cast<std::byte*>(in.data()), 0x1000,
+                  in.size() * sizeof(In)},
+                 {out.data(), 0x8000, out.size()}};
+    if (engine == 0) {
+      const auto run = RunProgram(p, config, std::move(b));
+      EXPECT_TRUE(run.ok()) << run.status().ToString();
+    } else {
+      StatusOr<ReferenceInterp> interp =
+          ReferenceInterp::Create(&p, config, std::move(b));
+      EXPECT_TRUE(interp.ok());
+      WorkGroupRun run;
+      EXPECT_TRUE(interp->RunAllGroups(nullptr, &run).ok());
+    }
+  }
+  return outs;
+}
+
+template <typename T>
+void ExpectAbsOfMinIsMin(ScalarType t) {
+  KernelBuilder kb("abs_min");
+  auto in = kb.ArgBuffer("in", t, ArgKind::kBufferRO);
+  auto out = kb.ArgBuffer("out", t, ArgKind::kBufferWO);
+  Val gid = kb.GlobalId(0);
+  kb.Store(out, gid, kb.Abs(kb.Load(in, gid)));
+  const Program p = *kb.Build();
+  constexpr T kMin = std::numeric_limits<T>::min();
+  constexpr T kMax = std::numeric_limits<T>::max();
+  const std::vector<T> values = {kMin, -5, 7, kMax, -1, 0, kMin + 1, 42};
+  const std::vector<T> want = {kMin, 5, 7, kMax, 1, 0, kMax, 42};
+  std::vector<T> in_data = values;
+  in_data.insert(in_data.end(), values.begin(), values.end());
+  const auto outs =
+      RunOnBothEngines(p, in_data, in_data.size() * sizeof(T), in_data.size());
+  for (const std::vector<std::byte>& bytes : outs) {
+    std::vector<T> got(in_data.size());
+    std::memcpy(got.data(), bytes.data(), bytes.size());
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      EXPECT_EQ(got[i], want[i % want.size()]) << ScalarTypeName(t) << " " << i;
+    }
+  }
+}
+
+TEST(IntegerWrapTest, AbsOfMinIsMinOnBothEngines) {
+  // OpenCL's abs returns the magnitude as unsigned: abs(MIN) has MIN's bit
+  // pattern. std::abs(MIN) is signed overflow.
+  ExpectAbsOfMinIsMin<std::int32_t>(ScalarType::kI32);
+  ExpectAbsOfMinIsMin<std::int64_t>(ScalarType::kI64);
+}
+
+template <typename From, typename To>
+void ExpectConvertSaturates(ScalarType from, ScalarType to) {
+  KernelBuilder kb("convert_sat");
+  auto in = kb.ArgBuffer("in", from, ArgKind::kBufferRO);
+  auto out = kb.ArgBuffer("out", to, ArgKind::kBufferWO);
+  Val gid = kb.GlobalId(0);
+  kb.Store(out, gid, kb.Convert(kb.Load(in, gid), to));
+  const Program p = *kb.Build();
+  constexpr From kInf = std::numeric_limits<From>::infinity();
+  constexpr To kMin = std::numeric_limits<To>::min();
+  constexpr To kMax = std::numeric_limits<To>::max();
+  const std::vector<From> values = {
+      static_cast<From>(1e20), static_cast<From>(-1e20), kInf, -kInf,
+      std::numeric_limits<From>::quiet_NaN(), static_cast<From>(3.75),
+      static_cast<From>(-3.75), 0};
+  const std::vector<To> want = {kMax, kMin, kMax, kMin, 0, 3, -3, 0};
+  const auto outs =
+      RunOnBothEngines(p, values, values.size() * sizeof(To), values.size());
+  for (const std::vector<std::byte>& bytes : outs) {
+    std::vector<To> got(values.size());
+    std::memcpy(got.data(), bytes.data(), bytes.size());
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      EXPECT_EQ(got[i], want[i]) << ScalarTypeName(from) << " -> "
+                                 << ScalarTypeName(to) << " input "
+                                 << static_cast<double>(values[i]);
+    }
+  }
+}
+
+TEST(ConvertTest, FloatToIntSaturatesAndNanIsZeroOnBothEngines) {
+  // convert_<int>_sat / VCVT: out-of-range values clamp, NaN gives 0.
+  ExpectConvertSaturates<float, std::int32_t>(ScalarType::kF32,
+                                              ScalarType::kI32);
+  ExpectConvertSaturates<float, std::int64_t>(ScalarType::kF32,
+                                              ScalarType::kI64);
+  ExpectConvertSaturates<double, std::int32_t>(ScalarType::kF64,
+                                               ScalarType::kI32);
+  ExpectConvertSaturates<double, std::int64_t>(ScalarType::kF64,
+                                               ScalarType::kI64);
 }
 
 }  // namespace

@@ -453,10 +453,10 @@ Status ReferenceInterp::Step(const ThreadCtx& ctx, RegValue* regs,
           for (int l = 0; l < lanes; ++l) D.f64[l] = std::fabs(A.f64[l]);
           break;
         case ScalarType::kI32:
-          for (int l = 0; l < lanes; ++l) D.i32[l] = std::abs(A.i32[l]);
+          for (int l = 0; l < lanes; ++l) D.i32[l] = WrapAbs(A.i32[l]);
           break;
         case ScalarType::kI64:
-          for (int l = 0; l < lanes; ++l) D.i64[l] = std::llabs(A.i64[l]);
+          for (int l = 0; l < lanes; ++l) D.i64[l] = WrapAbs(A.i64[l]);
           break;
       }
       break;
@@ -594,11 +594,11 @@ Status ReferenceInterp::Step(const ThreadCtx& ctx, RegValue* regs,
             D.f64[l] = is_float_src ? fv : static_cast<double>(iv);
             break;
           case ScalarType::kI32:
-            D.i32[l] = is_float_src ? static_cast<std::int32_t>(fv)
+            D.i32[l] = is_float_src ? SatConvert<std::int32_t>(fv)
                                     : static_cast<std::int32_t>(iv);
             break;
           case ScalarType::kI64:
-            D.i64[l] = is_float_src ? static_cast<std::int64_t>(fv) : iv;
+            D.i64[l] = is_float_src ? SatConvert<std::int64_t>(fv) : iv;
             break;
         }
       }

@@ -63,7 +63,19 @@ Program RandomProgram(std::uint64_t seed) {
            [&](Val) { kb.Assign(acc, acc + pool[rng.NextBounded(pool.size())]); });
     pool.push_back(acc);
   }
-  kb.Store(buf, gid, kb.VSum(pool.back()));
+  // Occasionally a ParallelFor (printed with the `parallel` marker) whose
+  // last iteration writes this item's element.
+  const bool parallel_loop = rng.NextDouble() < 0.5;
+  const std::int64_t trips = 1 + static_cast<std::int64_t>(rng.NextBounded(12));
+  if (parallel_loop) {
+    kb.ParallelFor("p", kb.ConstI(I32(), 0), kb.ConstI(I32(), trips), 1,
+                   [&](Val p) {
+                     Val t = kb.Load(buf, gid) + kb.Convert(p, ScalarType::kF32);
+                     kb.If(kb.CmpEq(p, kb.ConstI(I32(), trips - 1)),
+                           [&] { kb.Store(buf, gid, t); });
+                   });
+  }
+  kb.Store(buf, gid, kb.Load(buf, gid) + kb.VSum(pool.back()));
   return *kb.Build();
 }
 
@@ -116,6 +128,12 @@ TEST_P(RoundTripFuzzTest, PrintParseExecuteEquivalence) {
   StatusOr<Program> reparsed = ParseProgram(normal);
   ASSERT_TRUE(reparsed.ok());
   EXPECT_EQ(ToText(*reparsed), normal);
+
+  // ParallelFor markers survive the round trip.
+  ASSERT_EQ(parsed->code.size(), original.code.size());
+  for (std::size_t i = 0; i < original.code.size(); ++i) {
+    EXPECT_EQ(parsed->code[i].parallel, original.code[i].parallel) << i;
+  }
 
   // Execution is bit-identical.
   EXPECT_EQ(Execute(original), Execute(*parsed));

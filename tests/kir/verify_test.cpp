@@ -1,6 +1,10 @@
 // Verifier tests: hand-constructed Programs with deliberate violations.
+#include <functional>
+#include <string>
+
 #include <gtest/gtest.h>
 
+#include "kir/builder.h"
 #include "kir/program.h"
 
 namespace malisim::kir {
@@ -214,6 +218,116 @@ TEST_F(VerifyTest, ExtractLaneOutOfRangeRejected) {
   e.a = v;
   e.imm = 4;
   EXPECT_FALSE(FinalizeAndVerify().ok());
+}
+
+// ParallelFor contract (VerifyParallelLoop): independent iterations, no
+// barrier, nothing read after the loop that the loop writes.
+
+/// The message of the first violation, or "" when the program verifies.
+std::string ParallelForError(
+    const std::function<void(KernelBuilder&, BufferRef, Val)>& build) {
+  KernelBuilder kb("pfor");
+  auto buf = kb.ArgBuffer("buf", ScalarType::kF32, ArgKind::kBufferRW);
+  Val n = kb.ArgScalar("n", ScalarType::kI32);
+  build(kb, buf, n);
+  StatusOr<Program> p = kb.Build();
+  return p.ok() ? "" : p.status().message();
+}
+
+TEST(VerifyParallelForTest, IndependentIterationsVerify) {
+  EXPECT_EQ(ParallelForError([](KernelBuilder& kb, BufferRef buf, Val n) {
+              kb.ParallelFor("i", kb.ConstI(I32(), 0), n, 1, [&](Val i) {
+                Val t = kb.Load(buf, i) * kb.ConstF(F32(), 2.0);
+                kb.If(kb.CmpLt(t, kb.ConstF(F32(), 1.0)),
+                      [&] { kb.Store(buf, i, t); });
+              });
+            }),
+            "");
+}
+
+TEST(VerifyParallelForTest, LoopCarriedRegisterRejected) {
+  const std::string error =
+      ParallelForError([](KernelBuilder& kb, BufferRef buf, Val n) {
+        Val acc = kb.Var(F32(), "acc");
+        kb.Assign(acc, kb.ConstF(F32(), 0.0));
+        kb.ParallelFor("i", kb.ConstI(I32(), 0), n, 1, [&](Val i) {
+          kb.Assign(acc, acc + kb.Load(buf, i));
+        });
+      });
+  EXPECT_NE(error.find("reads %acc before this iteration writes it"),
+            std::string::npos)
+      << error;
+}
+
+TEST(VerifyParallelForTest, WriteOnOnePathOnlyIsLoopCarried) {
+  // Assigned in the then-part only, then read unconditionally: the read
+  // may see an earlier iteration's value.
+  const std::string error =
+      ParallelForError([](KernelBuilder& kb, BufferRef buf, Val n) {
+        kb.ParallelFor("i", kb.ConstI(I32(), 0), n, 1, [&](Val i) {
+          Val t = kb.Var(F32(), "t");
+          kb.If(kb.CmpLt(i, kb.ConstI(I32(), 4)),
+                [&] { kb.Assign(t, kb.Load(buf, i)); });
+          kb.Store(buf, i, t);
+        });
+      });
+  EXPECT_NE(error.find("before this iteration writes it"), std::string::npos)
+      << error;
+}
+
+TEST(VerifyParallelForTest, RegisterReadAfterLoopRejected) {
+  const std::string error =
+      ParallelForError([](KernelBuilder& kb, BufferRef buf, Val n) {
+        Val last = kb.Var(F32(), "last");
+        kb.Assign(last, kb.ConstF(F32(), 0.0));
+        kb.ParallelFor("i", kb.ConstI(I32(), 0), n, 1, [&](Val i) {
+          kb.Assign(last, kb.Load(buf, i));
+        });
+        kb.Store(buf, kb.ConstI(I32(), 0), last);
+      });
+  EXPECT_NE(error.find("writes %last, which is read after the loop"),
+            std::string::npos)
+      << error;
+}
+
+TEST(VerifyParallelForTest, ReadOnNextTripOfEnclosingLoopRejected) {
+  // Read before the ParallelFor, inside an enclosing loop: the next outer
+  // trip sees what the parallel loop wrote.
+  const std::string error =
+      ParallelForError([](KernelBuilder& kb, BufferRef buf, Val n) {
+        Val t = kb.Var(F32(), "t");
+        kb.Assign(t, kb.ConstF(F32(), 0.0));
+        kb.For("o", kb.ConstI(I32(), 0), n, 1, [&](Val o) {
+          kb.Store(buf, o, t);
+          kb.ParallelFor("i", kb.ConstI(I32(), 0), n, 1,
+                         [&](Val i) { kb.Assign(t, kb.Load(buf, i)); });
+        });
+      });
+  EXPECT_NE(error.find("which is read after the loop"), std::string::npos)
+      << error;
+}
+
+TEST(VerifyParallelForTest, BarrierInBodyRejected) {
+  const std::string error =
+      ParallelForError([](KernelBuilder& kb, BufferRef buf, Val n) {
+        kb.ParallelFor("i", kb.ConstI(I32(), 0), n, 1, [&](Val i) {
+          kb.Store(buf, i, kb.ConstF(F32(), 1.0));
+          kb.Barrier();
+        });
+      });
+  EXPECT_NE(error.find("holds a barrier"), std::string::npos) << error;
+}
+
+TEST(VerifyParallelForTest, WritingLoopVariableRejected) {
+  const std::string error =
+      ParallelForError([](KernelBuilder& kb, BufferRef buf, Val n) {
+        kb.ParallelFor("i", kb.ConstI(I32(), 0), n, 1, [&](Val i) {
+          kb.Store(buf, i, kb.ConstF(F32(), 1.0));
+          kb.Assign(i, i + kb.ConstI(I32(), 1));
+        });
+      });
+  EXPECT_NE(error.find("writes its loop variable or bound"), std::string::npos)
+      << error;
 }
 
 }  // namespace

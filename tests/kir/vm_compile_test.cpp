@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cstring>
 #include <memory>
+#include <set>
 #include <utility>
 #include <vector>
 
@@ -235,7 +236,7 @@ TEST(VmCompileTest, ConstPoolHoldsBroadcastValues) {
   }
 }
 
-TEST(VmCompileTest, CompactsRegisterFile) {
+TEST(VmCompileTest, CompactsRegisterFrame) {
   KernelBuilder kb("compact");
   auto buf = kb.ArgBuffer("buf", ScalarType::kF32, ArgKind::kBufferRW);
   Val gid = kb.GlobalId(0);
@@ -245,12 +246,22 @@ TEST(VmCompileTest, CompactsRegisterFile) {
   const Program p = *kb.Build();
   const auto cp = Compile(p);
   ASSERT_NE(cp, nullptr);
-  // The compacted register file never exceeds the source file, and every
-  // operand fits inside it (register 0 stays the reserved null slot).
-  EXPECT_LE(cp->num_regs, p.regs.size());
+  // Each register takes the bytes of its type (8-byte scalars aligned to
+  // 8), never a full RegValue, and every operand names a register inside
+  // the frame (offset 0 stays the unused-operand slot).
+  std::uint32_t type_bytes = 8;
+  for (const RegInfo& r : p.regs) type_bytes += (r.type.bytes() + 7) & ~7u;
+  EXPECT_LE(cp->frame_bytes, type_bytes);
+  std::set<vm::RegOff> regs;
+  for (const vm::RegSpan& r : cp->frame_regs) {
+    EXPECT_LE(r.reg * 4u + r.bytes, cp->frame_bytes);
+    regs.insert(r.reg);
+  }
   for (const vm::VInstr& in : cp->code) {
-    for (const RegId r : {in.dst, in.a, in.b, in.c}) {
-      EXPECT_LT(r, cp->num_regs);
+    for (const vm::RegOff r : {in.dst, in.a, in.b, in.c}) {
+      if (r != 0) {
+        EXPECT_TRUE(regs.count(r)) << "operand offset " << r;
+      }
     }
   }
 }

@@ -5,13 +5,18 @@
 // histograms, per-opcode tallies, memory-access streams and step weights
 // under the VM (serially and across host threads) and the interpreter, and
 // must fail identically (same status, same partial counts) on runtime
+// faults. The lane-batch suite at the end stresses the VM's batches
+// (DESIGN.md §16): local sizes around the batch width, divergent branches
+// and trip counts, ParallelFor loops, deliberate races and mid-batch
 // faults.
 #include <array>
 #include <cstdint>
 #include <cstring>
+#include <functional>
 #include <memory>
 #include <span>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -374,6 +379,315 @@ TEST(VmDiffFaultTest, IntegerDivisionOverflowFailsIdentically) {
     EXPECT_EQ(vm.run.work_items, 8u);
     ExpectFaultsEqual(p, 64);
   }
+}
+
+// ---- Lane batches ---------------------------------------------------------
+
+/// Builds a random kernel over f (f32) and h (i32) whose work-items and
+/// ParallelFor iterations branch apart: a per-item if/else, a per-item
+/// trip count, and a ParallelFor with a divergent body that writes its own
+/// element per (item, iteration). With `racy`, items and iterations also
+/// read and write elements their neighbours write, so batches must roll
+/// back. `local` sizes the __local tile of the optional barrier phase.
+Program RandomBatchProgram(std::uint64_t seed, std::uint64_t local,
+                           bool racy) {
+  Xoshiro256 rng(seed * 7919 + local);
+  KernelBuilder kb("vmbatch_" + std::to_string(seed));
+  auto f = kb.ArgBuffer("f", ScalarType::kF32, ArgKind::kBufferRW);
+  auto h = kb.ArgBuffer("h", ScalarType::kI32, ArgKind::kBufferRW);
+  const bool use_local = rng.NextDouble() < 0.4;
+  BufferRef tile;
+  if (use_local) {
+    tile = kb.LocalArray("tile", ScalarType::kF32,
+                         static_cast<std::uint32_t>(local));
+  }
+  Val gid = kb.GlobalId(0);
+  Val lid = kb.LocalId(0);
+  auto ci = [&](std::int64_t v) { return kb.ConstI(I32(), v); };
+  auto cf = [&](double v) { return kb.ConstF(F32(), v); };
+  Val gsize = kb.GlobalSize(0);
+
+  Val acc = kb.Var(F32(), "acc");
+  kb.Assign(acc, kb.Load(f, gid));
+  // Per-item if/else.
+  const std::int64_t m = 2 + static_cast<std::int64_t>(rng.NextBounded(4));
+  kb.If(
+      kb.CmpEq(kb.Binary(Opcode::kIRem, gid, ci(m)), ci(0)),
+      [&] { kb.Assign(acc, acc * cf(1.5)); },
+      [&] { kb.Assign(acc, acc + kb.Sqrt(kb.Abs(acc))); });
+  // Per-item trip count.
+  const std::int64_t k = 2 + static_cast<std::int64_t>(rng.NextBounded(6));
+  kb.For("t", ci(0), kb.Binary(Opcode::kIRem, gid, ci(k)), 1, [&](Val t) {
+    kb.Assign(acc, acc + kb.Load(f, kb.Binary(Opcode::kIRem, gid + t, gsize)));
+  });
+  // ParallelFor with a divergent body: iteration p of item gid owns
+  // element out0 + gid * trips + p.
+  const std::int64_t trips = 1 + static_cast<std::int64_t>(rng.NextBounded(20));
+  Val out0 = gsize;
+  kb.ParallelFor("p", ci(0), ci(trips), 1, [&](Val p) {
+    Val mine = out0 + gid * ci(trips) + p;
+    Val v = kb.Load(f, kb.Binary(Opcode::kIRem, gid + p, gsize)) +
+            kb.Convert(p, ScalarType::kF32);
+    kb.If(kb.CmpLt(kb.Binary(Opcode::kIRem, p + gid, ci(3)), ci(1)),
+          [&] { kb.Store(f, mine, v * cf(0.5)); },
+          [&] {
+            kb.For("q", ci(0), kb.Binary(Opcode::kIRem, p, ci(4)), 1,
+                   [&](Val q) {
+                     kb.Store(f, mine, v + kb.Convert(q, ScalarType::kF32));
+                   });
+          });
+    if (racy) {
+      // Iterations p and p + 1 share an element.
+      Val shared = out0 + gid * ci(trips) + kb.Binary(Opcode::kIDiv, p, ci(2));
+      kb.Store(f, shared, kb.Load(f, shared + ci(1)) + cf(1.0));
+    }
+  });
+  if (racy) {
+    // Item gid reads what item gid + 1 writes and writes what gid - 1
+    // reads.
+    Val half = kb.Binary(Opcode::kIDiv, gid, ci(2));
+    kb.Store(f, half, kb.Load(f, half + ci(1)) + acc);
+  }
+  if (use_local) {
+    kb.Store(tile, lid, acc);
+    kb.Barrier();
+    kb.Assign(acc, acc + kb.Load(tile, kb.Binary(Opcode::kIRem, lid + ci(1),
+                                                 kb.LocalSize(0))));
+  }
+  if (rng.NextDouble() < 0.5) {
+    kb.AtomicAdd(h, kb.Binary(Opcode::kIRem, gid, ci(16)), ci(1));
+  }
+  kb.Store(f, gid, acc);
+  return *kb.Build();
+}
+
+/// Everything one engine produced for a batch program.
+struct BatchOut {
+  Status status = Status::Ok();
+  std::vector<float> f;
+  std::vector<std::int32_t> h;
+  WorkGroupRun run;
+  std::array<std::uint64_t, kNumOpcodeValues> tally{};
+  std::vector<MemEvent> stream;
+  BatchStats batches;  // the VM's
+};
+
+/// Runs `p` over `groups` work-groups of `local` items under the oracle or
+/// the VM, recording the memory stream when `record` is set; f holds
+/// `f_elems` elements (0: enough for RandomBatchProgram).
+BatchOut ExecuteBatch(const Program& p, Engine engine, std::uint64_t local,
+                      std::uint64_t groups, bool record,
+                      std::uint64_t f_elems = 0) {
+  BatchOut out;
+  const std::uint64_t global = local * groups;
+  out.f.resize(f_elems != 0 ? f_elems : global * 24 + 64);
+  for (std::size_t i = 0; i < out.f.size(); ++i) {
+    out.f[i] = 0.5f + 0.03f * static_cast<float>(i % 97);
+  }
+  out.h.assign(16, 0);
+  std::vector<std::byte> scratch(local * 4, std::byte{0});
+  Bindings b;
+  b.buffers = {{reinterpret_cast<std::byte*>(out.f.data()), 0x10000,
+                out.f.size() * 4},
+               {reinterpret_cast<std::byte*>(out.h.data()), 0x80000,
+                out.h.size() * 4}};
+  if (!p.locals.empty()) {
+    b.local_scratch = {scratch.data(), 0x90000, scratch.size()};
+  }
+  LaunchConfig config;
+  config.global_size = {global, 1, 1};
+  config.local_size = {local, 1, 1};
+  MemRecorder recorder([&](std::span<const MemEvent> chunk) {
+    out.stream.insert(out.stream.end(), chunk.begin(), chunk.end());
+  });
+  MemRecorder* rec = record ? &recorder : nullptr;
+  if (engine == Engine::kReference) {
+    StatusOr<ReferenceInterp> interp =
+        ReferenceInterp::Create(&p, config, std::move(b));
+    EXPECT_TRUE(interp.ok());
+    interp->set_opcode_tally(out.tally.data());
+    out.status = interp->RunAllGroups(rec, &out.run);
+  } else {
+    StatusOr<vm::VmExecutor> executor = vm::VmExecutor::Create(
+        &p, *vm::CompileProgram(p), config, std::move(b));
+    EXPECT_TRUE(executor.ok());
+    executor->set_opcode_tally(out.tally.data());
+    out.status = executor->RunAllGroups(rec, &out.run);
+    out.batches = executor->batch_stats();
+  }
+  recorder.Flush();
+  return out;
+}
+
+/// The oracle's and the VM's runs agree bit for bit, faults included.
+void ExpectBatchOutsEqual(const BatchOut& a, const BatchOut& b) {
+  EXPECT_EQ(a.status.code(), b.status.code());
+  EXPECT_EQ(a.status.message(), b.status.message());
+  EXPECT_EQ(a.f, b.f);
+  EXPECT_EQ(a.h, b.h);
+  ExpectRunsEqual(a.run, b.run);
+  for (int op = 0; op < kNumOpcodeValues; ++op) {
+    EXPECT_EQ(a.tally[static_cast<std::size_t>(op)],
+              b.tally[static_cast<std::size_t>(op)])
+        << "opcode " << OpcodeName(static_cast<Opcode>(op));
+  }
+  ASSERT_EQ(a.stream.size(), b.stream.size());
+  for (std::size_t i = 0; i < a.stream.size(); ++i) {
+    EXPECT_EQ(a.stream[i].addr, b.stream[i].addr) << "event " << i;
+    EXPECT_EQ(a.stream[i].bytes, b.stream[i].bytes) << "event " << i;
+    EXPECT_EQ(a.stream[i].kind, b.stream[i].kind) << "event " << i;
+  }
+}
+
+using BatchCase = std::tuple<std::uint64_t /*seed*/, std::uint64_t /*local*/>;
+
+class VmBatchFuzzTest : public ::testing::TestWithParam<BatchCase> {};
+
+TEST_P(VmBatchFuzzTest, MatchesOracleWithAndWithoutRecorder) {
+  const auto [seed, local] = GetParam();
+  for (const bool racy : {false, true}) {
+    const Program p = RandomBatchProgram(seed, local, racy);
+    for (const bool record : {true, false}) {
+      SCOPED_TRACE(std::string(racy ? "racy" : "race-free") +
+                   (record ? ", recorded" : ", unrecorded"));
+      const BatchOut oracle =
+          ExecuteBatch(p, Engine::kReference, local, 3, record);
+      const BatchOut vm = ExecuteBatch(p, Engine::kVm, local, 3, record);
+      EXPECT_TRUE(oracle.status.ok()) << oracle.status.ToString();
+      ExpectBatchOutsEqual(oracle, vm);
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Batches, VmBatchFuzzTest,
+    ::testing::Combine(::testing::Range<std::uint64_t>(1, 13),
+                       ::testing::Values<std::uint64_t>(1, 3, 8, 13, 64)));
+
+TEST(VmBatchTest, RacingItemsRollBackAndMatchTheOracle) {
+  // Item gid stores the element item gid + 1 loads: every batch races.
+  KernelBuilder kb("racy_items");
+  auto f = kb.ArgBuffer("f", ScalarType::kF32, ArgKind::kBufferRW);
+  kb.ArgBuffer("h", ScalarType::kI32, ArgKind::kBufferRW);
+  Val gid = kb.GlobalId(0);
+  kb.Store(f, gid, kb.Load(f, gid + kb.ConstI(I32(), 1)) +
+                       kb.Load(f, gid));
+  const Program p = *kb.Build();
+  const BatchOut oracle = ExecuteBatch(p, Engine::kReference, 16, 2, true);
+  const BatchOut vm = ExecuteBatch(p, Engine::kVm, 16, 2, true);
+  ExpectBatchOutsEqual(oracle, vm);
+  // Every batch of the two 16-item groups races.
+  EXPECT_EQ(vm.batches.rollbacks[static_cast<int>(Rollback::kRace)],
+            static_cast<std::uint64_t>(
+                2 * ((16 + vm::kBatchWidth - 1) / vm::kBatchWidth)));
+}
+
+TEST(VmBatchTest, DisjointBytesInOverlappingRangesDoNotRollBack) {
+  // Lane l writes bytes [8l, 8l + 4) and reads [8l + 4, 8l + 8): the
+  // lanes' ranges interleave but no byte is shared, so the exact check
+  // lets every batch commit.
+  KernelBuilder kb("interleaved");
+  auto f = kb.ArgBuffer("f", ScalarType::kF32, ArgKind::kBufferRW);
+  kb.ArgBuffer("h", ScalarType::kI32, ArgKind::kBufferRW);
+  Val gid = kb.GlobalId(0);
+  Val two = gid + gid;
+  kb.Store(f, two, kb.Load(f, two + kb.ConstI(I32(), 1)) * kb.ConstF(F32(), 2));
+  kb.Store(f, kb.ConstI(I32(), 0) + (kb.GlobalSize(0) + kb.GlobalSize(0)) -
+                  two - kb.ConstI(I32(), 1),
+           kb.ConstF(F32(), 3));
+  const Program p = *kb.Build();
+  const BatchOut oracle = ExecuteBatch(p, Engine::kReference, 16, 2, true);
+  const BatchOut vm = ExecuteBatch(p, Engine::kVm, 16, 2, true);
+  ExpectBatchOutsEqual(oracle, vm);
+  EXPECT_EQ(vm.batches.rollbacks[static_cast<int>(Rollback::kRace)], 0u);
+  EXPECT_GT(vm.batches.full_width, 0u);
+}
+
+TEST(VmBatchTest, FaultInAMiddleLaneKeepsEarlierLanesOnly) {
+  // Every item stores first; item 11, a middle lane of its batch, then
+  // loads out of bounds. Items 0-10 must have stored, 12+ must not.
+  KernelBuilder kb("mid_fault");
+  auto f = kb.ArgBuffer("f", ScalarType::kF32, ArgKind::kBufferRW);
+  kb.ArgBuffer("h", ScalarType::kI32, ArgKind::kBufferRW);
+  Val gid = kb.GlobalId(0);
+  kb.Store(f, gid, kb.ConstF(F32(), 7.0));
+  Val far = kb.Select(kb.CmpEq(gid, kb.ConstI(I32(), 11)),
+                      kb.ConstI(I32(), 1 << 20), gid);
+  kb.Store(f, gid + kb.ConstI(I32(), 64), kb.Load(f, far));
+  const Program p = *kb.Build();
+  for (const bool record : {true, false}) {
+    const BatchOut oracle =
+        ExecuteBatch(p, Engine::kReference, 16, 2, record, 128);
+    const BatchOut vm = ExecuteBatch(p, Engine::kVm, 16, 2, record, 128);
+    EXPECT_FALSE(vm.status.ok());
+    ExpectBatchOutsEqual(oracle, vm);
+    EXPECT_EQ(vm.f[10], 7.0f);
+    EXPECT_NE(vm.f[12], 7.0f);
+    EXPECT_EQ(vm.batches.rollbacks[static_cast<int>(Rollback::kFault)], 1u);
+  }
+}
+
+/// A one-item kernel whose ParallelFor runs `trips` iterations of `body`.
+Program ParallelForProgram(
+    const std::string& name, std::int64_t trips,
+    const std::function<void(KernelBuilder&, BufferRef, Val)>& body) {
+  KernelBuilder kb(name);
+  auto f = kb.ArgBuffer("f", ScalarType::kF32, ArgKind::kBufferRW);
+  kb.ArgBuffer("h", ScalarType::kI32, ArgKind::kBufferRW);
+  kb.ParallelFor("p", kb.ConstI(I32(), 0), kb.ConstI(I32(), trips), 1,
+                 [&](Val p) { body(kb, f, p); });
+  kb.Store(f, kb.ConstI(I32(), 0), kb.ConstF(F32(), 1.0));
+  return *kb.Build();
+}
+
+TEST(VmBatchTest, ParallelForFaultInAMiddleIteration) {
+  const Program p = ParallelForProgram(
+      "pfor_fault", 21, [](KernelBuilder& kb, BufferRef f, Val it) {
+        kb.Store(f, it + kb.ConstI(I32(), 8), kb.ConstF(F32(), 5.0));
+        Val far = kb.Select(kb.CmpEq(it, kb.ConstI(I32(), 11)),
+                            kb.ConstI(I32(), 1 << 20), it);
+        kb.Store(f, it + kb.ConstI(I32(), 40), kb.Load(f, far));
+      });
+  for (const bool record : {true, false}) {
+    const BatchOut oracle = ExecuteBatch(p, Engine::kReference, 1, 1, record, 64);
+    const BatchOut vm = ExecuteBatch(p, Engine::kVm, 1, 1, record, 64);
+    EXPECT_FALSE(vm.status.ok());
+    ExpectBatchOutsEqual(oracle, vm);
+    EXPECT_EQ(vm.batches.rollbacks[static_cast<int>(Rollback::kFault)], 1u);
+  }
+}
+
+TEST(VmBatchTest, ParallelForRacesRollBackAndMatchTheOracle) {
+  // Iteration p adds element p - 1 into element p: a chain the sequential
+  // loop resolves in order.
+  const Program p = ParallelForProgram(
+      "pfor_race", 30, [](KernelBuilder& kb, BufferRef f, Val it) {
+        Val at = it + kb.ConstI(I32(), 1);
+        kb.Store(f, at, kb.Load(f, it) + kb.Load(f, at));
+      });
+  const BatchOut oracle = ExecuteBatch(p, Engine::kReference, 1, 1, true, 64);
+  const BatchOut vm = ExecuteBatch(p, Engine::kVm, 1, 1, true, 64);
+  ExpectBatchOutsEqual(oracle, vm);
+  EXPECT_GT(vm.batches.rollbacks[static_cast<int>(Rollback::kRace)], 0u);
+}
+
+TEST(VmBatchTest, LaneEventOverflowRollsBackAndMatchesTheOracle) {
+  // 20000 loads per iteration overflow a lane's 16 k-event buffer.
+  const Program p = ParallelForProgram(
+      "pfor_cap", 9, [](KernelBuilder& kb, BufferRef f, Val it) {
+        Val acc = kb.Var(F32(), "acc");
+        kb.Assign(acc, kb.ConstF(F32(), 0.0));
+        kb.For("k", kb.ConstI(I32(), 0), kb.ConstI(I32(), 20000), 1,
+               [&](Val k) {
+                 kb.Assign(acc, acc + kb.Load(f, kb.Binary(Opcode::kIRem, k,
+                                                           kb.ConstI(I32(), 32))));
+               });
+        kb.Store(f, it + kb.ConstI(I32(), 32), acc);
+      });
+  const BatchOut oracle = ExecuteBatch(p, Engine::kReference, 1, 1, true, 64);
+  const BatchOut vm = ExecuteBatch(p, Engine::kVm, 1, 1, true, 64);
+  ExpectBatchOutsEqual(oracle, vm);
+  EXPECT_EQ(vm.batches.rollbacks[static_cast<int>(Rollback::kEventCap)], 1u);
 }
 
 }  // namespace
