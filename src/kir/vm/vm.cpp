@@ -145,42 +145,11 @@ VmExecutor::VmExecutor(const Program* program,
   lane_events_.reset(new LaneEvent[kBatchWidth * kLaneEventStride]);
   track_of_.assign(slots_.size(), kUntracked);
   std::uint8_t num_tracked = 0;
-  hold_.assign(slots_.size(), 0);
-  std::vector<char> loaded(slots_.size(), 0);
-  std::vector<char> atomic(slots_.size(), 0);
   for (const VInstr& in : code_->code) {
-    switch (in.op) {
-      case VOp::kStore:
-        hold_[in.slot] = 1;
-        break;
-      case VOp::kAtomicAddI32:
-        atomic[in.slot] = 1;
-        break;
-      case VOp::kLoad:
-      case VOp::kLoadFmaF32:
-      case VOp::kLoadFmaF64:
-      case VOp::kLoadAddF32:
-      case VOp::kLoadAddF64:
-      case VOp::kLoadSubF32:
-      case VOp::kLoadSubF64:
-      case VOp::kLoadMulF32:
-      case VOp::kLoadMulF64:
-      case VOp::kLoadSplatF32:
-      case VOp::kLoadSplatF64:
-      case VOp::kLoadFmaLoopEndF32:
-      case VOp::kLoadFmaLoopEndF64:
-        loaded[in.slot] = 1;
-        break;
-      default:
-        continue;
-    }
     if ((in.op == VOp::kStore || in.op == VOp::kAtomicAddI32) &&
         track_of_[in.slot] == kUntracked) {
       track_of_[in.slot] = num_tracked++;
     }
-  }
-  for (std::size_t s = 0; s < slots_.size(); ++s) {
-    hold_[s] = hold_[s] && !loaded[s] && !atomic[s];
   }
   ranges_.resize(std::size_t{num_tracked} * kBatchWidth * 3);
 }
@@ -232,7 +201,6 @@ Status VmExecutor::RunGroup(const std::array<std::uint64_t, 3>& group_id,
   // Flush on faults too: the interpreter counts every instruction it
   // reached (including the faulting one), and so do the deferred counts.
   FlushCounts(out);
-  total_stats_.MergeFrom(stats_);
   if (host_time_ != nullptr) host_time_->batches.MergeFrom(stats_);
   stats_ = {};
   return st;
@@ -490,8 +458,6 @@ void VmExecutor::BeginBatch() {
   written_slots_ = 0;
   undo_.clear();
   undo_bytes_.clear();
-  num_held_ = 0;
-  hold_full_ = false;
 }
 
 void VmExecutor::LogStore(std::uint8_t slot, std::uint64_t off,
@@ -504,25 +470,6 @@ void VmExecutor::LogStore(std::uint8_t slot, std::uint64_t off,
   written_slots_ |= std::uint64_t{1} << slot;
 }
 
-void VmExecutor::SpillHeld(std::uint8_t slot, std::uint64_t off,
-                           const std::byte* data, std::uint32_t bytes) {
-  if (!hold_full_) {
-    hold_full_ = true;
-    for (int i = 0; i < num_held_; ++i) {
-      const Held& h = held_[i];
-      StoreLogged(h.slot, h.off, h.data, h.bytes);
-    }
-    num_held_ = 0;
-  }
-  StoreLogged(slot, off, data, bytes);
-}
-
-void VmExecutor::StoreLogged(std::uint8_t slot, std::uint64_t off,
-                             const std::byte* data, std::uint32_t bytes) {
-  LogStore(slot, off, bytes);
-  std::memcpy(slots_[slot].host + off, data, bytes);
-}
-
 void VmExecutor::LogAtomic(std::uint8_t slot, std::uint64_t off,
                            std::int32_t value) {
   undo_.push_back({off, 0, value, 0, slot});
@@ -533,10 +480,6 @@ bool VmExecutor::Commit(Mask live, MemRecorder* recorder) {
   if (written_slots_ != 0 && HasRace(live)) {
     RollBack(Rollback::kRace);
     return false;
-  }
-  for (int i = 0; i < num_held_; ++i) {
-    const Held& h = held_[i];
-    CopyBytes(slots_[h.slot].host + h.off, h.data, h.bytes);
   }
   if (recorder != nullptr) {
     for (Mask m = live; m != 0; m &= m - 1) {
@@ -583,9 +526,11 @@ void VmExecutor::RollBack(Rollback reason) {
 
 bool VmExecutor::HasRace(Mask live) const {
   // First pass: per slot a store or atomic hit, the byte ranges each lane
-  // stored to, atomically updated, read, and touched at all (kept while
-  // the batch ran). Only slots where some pair of lanes overlaps by range
-  // get the exact, byte-level check.
+  // stored to, atomically updated and read (kept while the batch ran).
+  // Only slots where a pair of lanes may conflict by range get the exact,
+  // byte-level check. Two O(W) shortcuts answer the common cases before
+  // the O(W^2) pair pass; the check runs at every commit, and without them
+  // the full fp32 sweep runs about 1.2x slower (DESIGN.md §16).
   constexpr int W = kBatchWidth;
   struct Interval {
     std::uint32_t lo;
@@ -603,8 +548,8 @@ bool VmExecutor::HasRace(Mask live) const {
     auto range = [&](int lane, int kind) -> const Range& {
       return r[lane * 3 + kind];
     };
-    // Common case first: the lanes' whole footprints in the slot follow
-    // one another without overlap, in lane order or reverse lane order.
+    // Shortcut: the lanes' whole footprints in the slot follow one another
+    // without overlap, in lane order or reverse lane order.
     bool up = true;
     bool down = true;
     std::uint32_t prev_lo = 0;
@@ -625,8 +570,8 @@ bool VmExecutor::HasRace(Mask live) const {
       any = true;
     }
     if (up || down) continue;
-    // Atomics commute: a slot no lane stored to or read races only if it
-    // did, so atomics-only traffic (histogram bins) needs no pair check.
+    // Shortcut: atomics commute, so a slot no lane stored to or read
+    // (histogram bins) cannot race.
     bool stored_or_read = false;
     for (Mask m = live; m != 0 && !stored_or_read; m &= m - 1) {
       const int l = std::countr_zero(m);
@@ -1395,24 +1340,11 @@ StatusOr<VmExecutor::Stop> VmExecutor::Run(Lanes<W>& L, std::uint32_t* pc,
         const std::byte* const a = MALISIM_VM_P(std::byte, in.a);
         const std::int32_t* const idx = MALISIM_VM_P(std::int32_t, in.b);
         const std::int64_t imm = in.imm;
-        const bool hold = W > 1 && hold_[slot_];
-        if (hold) written_slots_ |= std::uint64_t{1} << slot_;
         MALISIM_VM_ACTIVE({
           MALISIM_VM_MEM_LANE(static_cast<std::int64_t>(idx[l]) + imm, "store");
-          const std::byte* const src = a + static_cast<std::size_t>(l) * bytes_;
-          if (W == 1 || !hold) {
-            if constexpr (W > 1) LogStore(slot_, off_, bytes_);
-            CopyBytes(host_ + off_, src, bytes_);
-          } else if (num_held_ < kMaxHeld && bytes_ <= sizeof(Held::data) &&
-                     !hold_full_) {
-            Held& h = held_[num_held_++];
-            h.off = static_cast<std::uint32_t>(off_);
-            h.slot = slot_;
-            h.bytes = static_cast<std::uint8_t>(bytes_);
-            CopyBytes(h.data, src, bytes_);
-          } else {
-            SpillHeld(slot_, off_, src, bytes_);
-          }
+          if constexpr (W > 1) LogStore(slot_, off_, bytes_);
+          CopyBytes(host_ + off_, a + static_cast<std::size_t>(l) * bytes_,
+                    bytes_);
           MALISIM_VM_RECORD(l, off_, MemEvent::kWrite);
         });
         break;

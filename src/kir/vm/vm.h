@@ -14,15 +14,14 @@
 // consecutive iterations of a ParallelFor loop. Lanes that branch apart
 // run under an active-lane mask and meet again at the if-end or loop-exit
 // point. A batch is speculative: each lane's memory events wait in a
-// per-lane buffer, stores log the bytes they replace (or, to a slot the
-// program never loads, wait until commit) and atomics log their addend.
-// When the batch ends, or reaches a barrier in lockstep, it commits: the
-// events go to the recorder in lane order, which is the oracle's order. A
-// batch that faults, fills a lane's buffer, reaches a barrier with its
-// lanes split, or has a lane touch bytes another lane stores to (atomics
-// commute with atomics) rolls back instead and runs its lanes one at a
-// time, so every program, racy and faulting ones included, behaves
-// exactly as under the oracle.
+// per-lane buffer, stores log the bytes they replace and atomics log their
+// addend. When the batch ends, or reaches a barrier in lockstep, it
+// commits: the events go to the recorder in lane order, which is the
+// oracle's order. A batch that faults, fills a lane's buffer, reaches a
+// barrier with its lanes split, or has a lane touch bytes another lane
+// stores to (atomics commute with atomics) rolls back instead and runs its
+// lanes one at a time, so every program, racy and faulting ones included,
+// behaves exactly as under the oracle.
 #pragma once
 
 #include <array>
@@ -78,12 +77,9 @@ class VmExecutor {
   /// outlive the executor. Attribution stays in source terms: ticks record
   /// the *source* pc of the instruction being dispatched (once per batch
   /// instruction), so per-opcode and per-basic-block profiles read in terms
-  /// of the KIR program.
+  /// of the KIR program. Each group's batch counts are added to the sink's
+  /// `batches`.
   void set_host_time(HostTimeSink* sink) { host_time_ = sink; }
-
-  /// Batch counts over every RunGroup so far (each group's also go to the
-  /// host-time sink, when one is attached).
-  const BatchStats& batch_stats() const { return total_stats_; }
 
  private:
   struct Slot {
@@ -177,15 +173,6 @@ class VmExecutor {
   /// Logs a batch store's old bytes / an atomic's amount for RollBack.
   void LogStore(std::uint8_t slot, std::uint64_t off, std::uint32_t bytes);
   void LogAtomic(std::uint8_t slot, std::uint64_t off, std::int32_t value);
-  /// A store to a hold_ slot that the hold buffer cannot take (full, or
-  /// wider than an entry): the held stores go to memory in order, logged
-  /// like any other store, and this store and the batch's later ones
-  /// follow them in place.
-  void SpillHeld(std::uint8_t slot, std::uint64_t off, const std::byte* data,
-                 std::uint32_t bytes);
-  /// Writes a batch store in place, logging the bytes it replaces.
-  void StoreLogged(std::uint8_t slot, std::uint64_t off, const std::byte* data,
-                   std::uint32_t bytes);
   /// Ends a batch that ran to a stop: checks it for cross-lane races, then
   /// either publishes it (events to `recorder` in lane order, counts, steps
   /// into lane_steps_) and returns true, or rolls it back and returns false.
@@ -255,21 +242,6 @@ class VmExecutor {
   std::vector<Range> ranges_;  // [(track * kBatchWidth + lane) * 3 + kind]
   std::vector<Undo> undo_;
   std::vector<std::byte> undo_bytes_;
-  /// Per slot: the program never loads from it or atomically updates it,
-  /// so a batch holds its stores back until Commit applies them (a
-  /// rollback drops them) instead of reading, and stalling on, the bytes
-  /// they replace.
-  std::vector<char> hold_;
-  struct Held {
-    std::uint32_t off;
-    std::uint8_t slot;
-    std::uint8_t bytes;
-    std::byte data[16];
-  };
-  static constexpr int kMaxHeld = 64;
-  std::array<Held, kMaxHeld> held_;
-  int num_held_ = 0;
-  bool hold_full_ = false;  // this batch's stores go in place from now on
   std::uint64_t written_slots_ = 0;  // bit s: a store/atomic hit slot s
   Rollback abort_reason_ = Rollback::kFault;
 
@@ -282,7 +254,6 @@ class VmExecutor {
   std::vector<char> split_;               // per batch
 
   BatchStats stats_;  // the running group's
-  BatchStats total_stats_;
   std::uint64_t* opcode_tally_ = nullptr;
   HostTimeSink* host_time_ = nullptr;
 };

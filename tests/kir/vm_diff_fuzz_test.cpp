@@ -469,15 +469,17 @@ struct BatchOut {
   WorkGroupRun run;
   std::array<std::uint64_t, kNumOpcodeValues> tally{};
   std::vector<MemEvent> stream;
-  BatchStats batches;  // the VM's
+  BatchStats batches;  // the VM's, when profiled
 };
 
 /// Runs `p` over `groups` work-groups of `local` items under the oracle or
 /// the VM, recording the memory stream when `record` is set; f holds
-/// `f_elems` elements (0: enough for RandomBatchProgram).
+/// `f_elems` elements (0: enough for RandomBatchProgram). `profiled`
+/// attaches a HostTimeSink to the VM, which reports its batch counts and
+/// runs the sampling variant of the dispatch loop.
 BatchOut ExecuteBatch(const Program& p, Engine engine, std::uint64_t local,
                       std::uint64_t groups, bool record,
-                      std::uint64_t f_elems = 0) {
+                      std::uint64_t f_elems = 0, bool profiled = true) {
   BatchOut out;
   const std::uint64_t global = local * groups;
   out.f.resize(f_elems != 0 ? f_elems : global * 24 + 64);
@@ -512,8 +514,10 @@ BatchOut ExecuteBatch(const Program& p, Engine engine, std::uint64_t local,
         &p, *vm::CompileProgram(p), config, std::move(b));
     EXPECT_TRUE(executor.ok());
     executor->set_opcode_tally(out.tally.data());
+    HostTimeSink sink;
+    if (profiled) executor->set_host_time(&sink);
     out.status = executor->RunAllGroups(rec, &out.run);
-    out.batches = executor->batch_stats();
+    out.batches = sink.batches;
   }
   recorder.Flush();
   return out;
@@ -552,9 +556,12 @@ TEST_P(VmBatchFuzzTest, MatchesOracleWithAndWithoutRecorder) {
                    (record ? ", recorded" : ", unrecorded"));
       const BatchOut oracle =
           ExecuteBatch(p, Engine::kReference, local, 3, record);
-      const BatchOut vm = ExecuteBatch(p, Engine::kVm, local, 3, record);
       EXPECT_TRUE(oracle.status.ok()) << oracle.status.ToString();
-      ExpectBatchOutsEqual(oracle, vm);
+      for (const bool profiled : {false, true}) {
+        SCOPED_TRACE(profiled ? "profiled" : "unprofiled");
+        ExpectBatchOutsEqual(
+            oracle, ExecuteBatch(p, Engine::kVm, local, 3, record, 0, profiled));
+      }
     }
   }
 }
@@ -577,6 +584,26 @@ TEST(VmBatchTest, RacingItemsRollBackAndMatchTheOracle) {
   const BatchOut vm = ExecuteBatch(p, Engine::kVm, 16, 2, true);
   ExpectBatchOutsEqual(oracle, vm);
   // Every batch of the two 16-item groups races.
+  EXPECT_EQ(vm.batches.rollbacks[static_cast<int>(Rollback::kRace)],
+            static_cast<std::uint64_t>(
+                2 * ((16 + vm::kBatchWidth - 1) / vm::kBatchWidth)));
+}
+
+TEST(VmBatchTest, StoresToEachOthersBytesRollBackAndMatchTheOracle) {
+  // Item gid stores 1 to element gid, then 2 to element gid ^ 1, and
+  // loads nothing: in item order the odd item's stores land last, in
+  // lockstep the second store does, so only the write-write check keeps
+  // the order.
+  KernelBuilder kb("store_store");
+  auto f = kb.ArgBuffer("f", ScalarType::kF32, ArgKind::kBufferRW);
+  kb.ArgBuffer("h", ScalarType::kI32, ArgKind::kBufferRW);
+  Val gid = kb.GlobalId(0);
+  kb.Store(f, gid, kb.ConstF(F32(), 1));
+  kb.Store(f, gid ^ kb.ConstI(I32(), 1), kb.ConstF(F32(), 2));
+  const Program p = *kb.Build();
+  const BatchOut oracle = ExecuteBatch(p, Engine::kReference, 16, 2, true);
+  const BatchOut vm = ExecuteBatch(p, Engine::kVm, 16, 2, true);
+  ExpectBatchOutsEqual(oracle, vm);
   EXPECT_EQ(vm.batches.rollbacks[static_cast<int>(Rollback::kRace)],
             static_cast<std::uint64_t>(
                 2 * ((16 + vm::kBatchWidth - 1) / vm::kBatchWidth)));
